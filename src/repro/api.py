@@ -13,11 +13,8 @@ the typed error hierarchy. Symbols importable from submodules but not
 listed here (server internals, codec helpers, the control-point engine)
 are implementation surface and may change between releases.
 
-This facade exists because the timeline API grew by accretion — methods
-sprayed across :class:`Tracker` with no single object owning a recording.
-:class:`TimelineView` is that object now; the old ``Tracker.goto`` /
-``Tracker.backward_*`` methods remain as :class:`DeprecationWarning`
-shims.
+The recording's navigation and queries live on one object,
+:class:`TimelineView` (``tracker.timeline_view()``).
 """
 
 from __future__ import annotations

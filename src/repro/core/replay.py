@@ -12,8 +12,9 @@ Control points are evaluated against recorded snapshots through the same
 :class:`ControlPointEngine` the live backends use, so ``resume`` over a
 replay pauses at the same breakpoints/watchpoints/tracked functions a
 live run would — to the resolution of what was recorded. Because the
-history is immutable, the reverse control calls (``backward_step``,
-``goto`` ...) are native motions here rather than a rewind overlay.
+history is immutable, the reverse control calls
+(``timeline_view().backward_step()``, ``goto`` ...) are native motions
+here rather than a rewind overlay.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ ring buffer (whole keyframe-led segments are evicted from the front, so
 reconstruction never needs an evicted base).
 
 On top of a timeline the tracker base class implements the reverse
-control calls ``backward_step`` / ``backward_next`` / ``backward_finish``
-/ ``backward_resume`` / ``goto`` — backend-agnostically, by replaying
-recorded snapshots instead of touching the (forward-only) inferior — and
+control calls behind ``TimelineView.backward_*`` / ``goto`` —
+backend-agnostically, by replaying recorded snapshots instead of
+touching the (forward-only) inferior — and
 :class:`repro.core.replay.ReplayTracker` exposes a saved timeline behind
 the full tracker API, generalizing the Python Tutor replay tracker
 (PT traces are just one timeline *codec*; see :func:`load_timeline`).
@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.errors import ProgramLoadError, TrackerError
+from repro.core.errors import ProgramLoadError, TraceStoreError, TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
 from repro.core.state import (
     Frame,
@@ -881,16 +881,31 @@ def _ensure_builtin_codecs() -> None:
 def load_timeline(path: str) -> Timeline:
     """Load a timeline from any registered codec (native or PT trace).
 
-    ``path`` may also be a ``.tracedir/`` directory written by the
-    disk-backed trace store, in which case segments stay on disk and are
-    loaded lazily (see :mod:`repro.core.tracestore`).
+    ``path`` may also be a ``.tracedir/`` directory written (and sealed)
+    by the disk-backed trace store: the timeline then holds nothing in
+    memory, every reconstruction loads segments lazily through the
+    store's spool (see :mod:`repro.core.tracestore`), and it is read-only.
     """
     import os
 
     if os.path.isdir(path):
-        from repro.core.tracestore import open_spooled_timeline
+        from repro.core.tracestore import SegmentSpool
 
-        return open_spooled_timeline(path)
+        spool = SegmentSpool.open(path)
+        meta = spool.timeline_meta
+        timeline = Timeline(
+            keyframe_interval=int(meta.get("keyframe_interval") or 16),
+            max_snapshots=meta.get("max_snapshots"),
+            program=meta.get("program") or "",
+            source=meta.get("source") or "",
+            backend=meta.get("backend") or "",
+        )
+        timeline._count = spool.count
+        timeline._start_index = spool.count
+        timeline.attach_spool(spool)
+        if timeline.retained == 0:
+            raise TraceStoreError(f"trace store {path!r} holds no snapshots")
+        return timeline
     with open(path, "r", encoding="utf-8") as source:
         text = source.read()
     try:

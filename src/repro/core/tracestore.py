@@ -26,8 +26,7 @@ Three layers, all built on the delta codec the timeline already ships:
 - :class:`TimelineView` — the unified query API over live, replay, and
   on-disk recordings: ``history("x")``, ``calls("f", returned=...)``,
   ``where(predicate)``, ``changes_between(i, j)``, ``at(k)``, plus the
-  navigation calls (``goto`` / ``backward_*``) that used to be sprayed
-  across :class:`Tracker`. Obtain one with ``tracker.timeline_view()``
+  navigation calls (``goto`` / ``backward_*``). Obtain one with ``tracker.timeline_view()``
   or ``TimelineView.open(path)`` (a ``.timeline.json``, a PT trace, or a
   ``.tracedir/``).
 
@@ -660,30 +659,6 @@ class SegmentSpool:
         ]
 
 
-def open_spooled_timeline(path: str) -> Timeline:
-    """A lazily-loading :class:`Timeline` over a ``.tracedir/``.
-
-    Nothing is held in memory: every reconstruction goes through the
-    spool's segment cache. The timeline is read-only (it was sealed by
-    :meth:`TraceStore.close`).
-    """
-    spool = SegmentSpool.open(path)
-    meta = spool.timeline_meta
-    timeline = Timeline(
-        keyframe_interval=int(meta.get("keyframe_interval") or 16),
-        max_snapshots=meta.get("max_snapshots"),
-        program=meta.get("program") or "",
-        source=meta.get("source") or "",
-        backend=meta.get("backend") or "",
-    )
-    timeline._count = spool.count
-    timeline._start_index = spool.count
-    timeline.attach_spool(spool)
-    if timeline.retained == 0:
-        raise TraceStoreError(f"trace store {path!r} holds no snapshots")
-    return timeline
-
-
 class TraceStore:
     """Record-side orchestration: spool + index attached to one timeline.
 
@@ -953,18 +928,16 @@ class TimelineView:
     def open(cls, path: str) -> "TimelineView":
         """Open a saved recording: ``.timeline.json``, PT trace, or
         ``.tracedir/`` (whose persisted index is reused)."""
-        if os.path.isdir(path):
-            timeline = open_spooled_timeline(path)
-            index_data = timeline.spool.index_data
-            index = (
-                TraceIndex.from_dict(index_data)
-                if index_data is not None
-                else None
-            )
-            return cls(timeline, index=index)
         if not os.path.exists(path):
             raise TraceStoreError(f"no such recording: {path}")
-        return cls(load_timeline(path))
+        timeline = load_timeline(path)
+        index_data = (
+            timeline.spool.index_data if timeline.spool is not None else None
+        )
+        index = (
+            TraceIndex.from_dict(index_data) if index_data is not None else None
+        )
+        return cls(timeline, index=index)
 
     # -- geometry --------------------------------------------------------
 

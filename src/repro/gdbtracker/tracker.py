@@ -28,13 +28,13 @@ serialized, piped across, and deserialized here — both sides speak the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
 from repro.core.supervision import BackoffPolicy
 from repro.core.tracker import TrackedFunction
-from repro.mi.remote import MIRemoteTracker, _maxdepth
+from repro.mi.remote import MIRemoteTracker, point_options
 
 
 class GDBTracker(MIRemoteTracker):
@@ -57,10 +57,9 @@ class GDBTracker(MIRemoteTracker):
         super().__init__(
             restart_policy=restart_policy, transport_factory=transport_factory
         )
-        #: bkptno -> function, for exit breakpoints planted by the ret-scan
-        self._exit_breakpoints: Dict[int, str] = {}
-        #: bkptno -> function, for the matching entry breakpoints
-        self._entry_breakpoints: Dict[int, str] = {}
+        #: bkptno -> (CALL or RETURN, function) for the entry and exit
+        #: breakpoints planted by the ret-scan
+        self._ret_scan_points: Dict[int, Tuple[PauseReasonType, str]] = {}
         self._is_assembly = False
 
     def _load_program(self, path: str, args: List[str]) -> None:
@@ -72,12 +71,11 @@ class GDBTracker(MIRemoteTracker):
     # ------------------------------------------------------------------
 
     def _reset_backend_state(self) -> None:
-        self._exit_breakpoints.clear()
-        self._entry_breakpoints.clear()
+        self._ret_scan_points.clear()
 
     def _install_tracked(self, point: TrackedFunction) -> None:
         if self._is_assembly:
-            self._track_function_via_ret_scan(point.function, point.maxdepth)
+            self._track_function_via_ret_scan(point)
         else:
             super()._install_tracked(point)
 
@@ -85,24 +83,13 @@ class GDBTracker(MIRemoteTracker):
         self, payload: Dict[str, Any], line: Optional[int]
     ) -> Optional[PauseReason]:
         """Synthesize entry/exit pauses from ret-scan breakpoint numbers."""
-        number = payload.get("bkptno")
-        if number in self._exit_breakpoints:
-            return PauseReason(
-                type=PauseReasonType.RETURN,
-                function=self._exit_breakpoints[number],
-                line=line,
-            )
-        if number in self._entry_breakpoints:
-            return PauseReason(
-                type=PauseReasonType.CALL,
-                function=self._entry_breakpoints[number],
-                line=line,
-            )
-        return None
+        planted = self._ret_scan_points.get(payload.get("bkptno"))
+        if planted is None:
+            return None
+        kind, function = planted
+        return PauseReason(type=kind, function=function, line=line)
 
-    def _track_function_via_ret_scan(
-        self, function: str, maxdepth: Optional[int]
-    ) -> None:
+    def _track_function_via_ret_scan(self, point: TrackedFunction) -> None:
         """The paper's retq-scan, retargeted to RISC-V.
 
         Disassemble the function, find its return instruction(s), and plant
@@ -110,6 +97,7 @@ class GDBTracker(MIRemoteTracker):
         Works whenever the compiler/author used the common single-epilogue
         layout; multiple ``ret`` sites each get their own breakpoint.
         """
+        function = point.function
         listing = self._client.execute("-data-disassemble", [function])
         returns = [entry for entry in listing if entry["is_return"]]
         if not returns:
@@ -118,16 +106,18 @@ class GDBTracker(MIRemoteTracker):
                 "cannot track its exit"
             )
         entry = self._client.execute(
-            "-break-insert", [function], _maxdepth(maxdepth)
+            "-break-insert", [function], point_options(point)
         )
-        self._entry_breakpoints[entry["number"]] = function
+        self._ret_scan_points[entry["number"]] = (PauseReasonType.CALL, function)
         for site in returns:
             planted = self._client.execute(
                 "-break-insert",
                 [f"*{site['address']:#x}"],
-                _maxdepth(maxdepth),
+                point_options(point),
             )
-            self._exit_breakpoints[planted["number"]] = function
+            self._ret_scan_points[planted["number"]] = (
+                PauseReasonType.RETURN, function
+            )
 
     # ------------------------------------------------------------------
     # GDB-tracker-specific extensions (named as in the paper)

@@ -42,12 +42,10 @@ from repro.core.errors import (
 )
 from repro.core.supervision import Deadline
 from repro.mi import protocol
-from repro.mi.transport import (  # noqa: F401  (re-exported: historic home)
-    _EOF,
-    SPAWN_TIMEOUT as _SPAWN_TIMEOUT,
-    STDERR_TAIL_LINES as _STDERR_TAIL,
+from repro.mi.transport import (  # PipeTransport re-exported: historic home
+    SPAWN_TIMEOUT,
     PipeTransport,
-    default_transport_factory as _default_transport_factory,
+    default_transport_factory,
 )
 
 
@@ -70,7 +68,7 @@ class MIClient:
         transport_factory: Optional[Callable[[], PipeTransport]] = None,
     ):
         self.program = program
-        self._transport_factory = transport_factory or _default_transport_factory(
+        self._transport_factory = transport_factory or default_transport_factory(
             program, list(args or [])
         )
         #: all inferior output seen so far, in order
@@ -88,7 +86,7 @@ class MIClient:
 
     def _spawn(self) -> None:
         self._transport = self._transport_factory()
-        greeting = self._read_record(Deadline(_SPAWN_TIMEOUT))
+        greeting = self._read_record(Deadline(SPAWN_TIMEOUT))
         if greeting.kind == "error":
             self.close()
             raise TrackerError(

@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ProtocolError
+from repro.core.pause import PauseReason, PauseReasonType
+from repro.core.state import Value, value_from_dict, value_to_dict
 
 #: A session id glued to the start of a command or record line. The
 #: lookahead requires the marker that follows: a record marker
@@ -200,6 +202,91 @@ def format_running() -> str:
 
 def format_stopped(payload: Dict[str, Any]) -> str:
     return "*stopped," + json.dumps(payload, separators=(",", ":"))
+
+
+#: MI stop-reason names <-> core pause-reason types: the one table both
+#: directions of the stop codec read.
+STOP_REASONS = {
+    "breakpoint-hit": PauseReasonType.BREAKPOINT,
+    "function-entry": PauseReasonType.CALL,
+    "function-exit": PauseReasonType.RETURN,
+    "watchpoint-trigger": PauseReasonType.WATCH,
+    "end-stepping-range": PauseReasonType.STEP,
+    "exited": PauseReasonType.EXIT,
+    "interrupted": PauseReasonType.INTERRUPT,
+    "deadlock-suspected": PauseReasonType.DEADLOCK_SUSPECTED,
+}
+_STOP_NAMES = {reason: name for name, reason in STOP_REASONS.items()}
+
+
+def encode_stop(reason: PauseReason, **fields: Any) -> Dict[str, Any]:
+    """The ``*stopped`` payload of one pause (or of the exit).
+
+    The reason's own fields become MI fields: ``line``, ``func``, the
+    ``thread``/``thread-name`` pair, the watch triple ``var``/``old``/
+    ``new``, ``retval`` (a model :class:`Value` crosses as its dict form)
+    and the ``deadlock`` graph. ``fields`` adds what only the server's
+    substrate knows (``exitcode``, ``depth``, ``bkptno``, ``pc`` ...).
+    """
+    kind = reason.type
+    payload: Dict[str, Any] = {
+        "reason": _STOP_NAMES.get(kind, "end-stepping-range")
+    }
+    if kind is not PauseReasonType.EXIT:
+        payload["line"] = reason.line
+        if reason.function is not None:
+            payload["func"] = reason.function
+        if reason.thread is not None:
+            payload["thread"] = reason.thread
+        if reason.thread_name:
+            payload["thread-name"] = reason.thread_name
+        if kind is PauseReasonType.WATCH:
+            payload["var"] = reason.variable
+            payload["old"] = reason.old_value
+            payload["new"] = reason.new_value
+        elif kind is PauseReasonType.RETURN:
+            value = reason.return_value
+            payload["retval"] = (
+                value_to_dict(value) if isinstance(value, Value) else value
+            )
+        elif kind is PauseReasonType.DEADLOCK_SUSPECTED:
+            payload["deadlock"] = reason.details or {}
+    payload.update(fields)
+    return payload
+
+
+def decode_stop(payload: Dict[str, Any]) -> PauseReason:
+    """The :class:`PauseReason` a ``*stopped`` payload carries.
+
+    The inverse of :func:`encode_stop`; an unknown reason name decodes as
+    a plain step. Exit details (``exitcode``, ``error``) stay in the
+    payload for the caller.
+    """
+    kind = STOP_REASONS.get(payload.get("reason"), PauseReasonType.STEP)
+    if kind is PauseReasonType.EXIT:
+        return PauseReason(type=kind)
+    reason = PauseReason(
+        type=kind,
+        line=payload.get("line"),
+        thread=payload.get("thread"),
+        thread_name=payload.get("thread-name"),
+    )
+    if kind in (
+        PauseReasonType.BREAKPOINT, PauseReasonType.CALL, PauseReasonType.RETURN
+    ):
+        reason.function = payload.get("func")
+    if kind is PauseReasonType.WATCH:
+        reason.variable = payload.get("var")
+        reason.old_value = payload.get("old")
+        reason.new_value = payload.get("new")
+    elif kind is PauseReasonType.RETURN:
+        value = payload.get("retval")
+        if isinstance(value, dict) and "abstract_type" in value:
+            value = value_from_dict(value)
+        reason.return_value = value
+    elif kind is PauseReasonType.DEADLOCK_SUSPECTED:
+        reason.details = payload.get("deadlock")
+    return reason
 
 
 def format_stream(text: str) -> str:

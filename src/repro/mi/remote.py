@@ -4,12 +4,12 @@ Two trackers drive a debug-server subprocess over the MI pipe: the GDB
 tracker (mini-C / RISC-V inferiors) and the subprocess-isolated Python
 tracker. Their client logic is identical — supervised command execution
 with deadlines and crash recovery, incremental control-point sync,
-``*stopped`` payload ingestion, serialized-state inspection, and the
-server-side ``-timeline-*`` recording family — so it lives here once, in
-:class:`MIRemoteTracker`. Subclasses override small hooks where the
-substrates genuinely differ (how a tracked function is installed, how a
-breakpoint number maps back to a pause reason, how a return value is
-decoded).
+``*stopped`` payload decoding (:func:`repro.mi.protocol.decode_stop`, the
+inverse of the one stop encoder both servers use), serialized-state
+inspection, and the server-side ``-timeline-*`` recording family — so it
+lives here once, in :class:`MIRemoteTracker`. Subclasses override small
+hooks where the substrates genuinely differ (how a tracked function is
+installed, how a breakpoint number maps back to a pause reason).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from repro.core.tracker import (
     Tracker,
     Watchpoint,
 )
+from repro.mi import protocol
 from repro.mi.client import MIClient
 
 
@@ -66,11 +67,6 @@ class MIRemoteTracker(Tracker):
             injection hook, see :mod:`repro.testing.faults`).
     """
 
-    #: whether the local engine counts "interrupted" stop payloads; a
-    #: subclass whose server-side tracker already counts them (so the
-    #: ``-tracker-stats`` merge would double count) sets this False.
-    _count_interrupts_locally = True
-
     def __init__(
         self,
         restart_policy: Optional[BackoffPolicy] = None,
@@ -80,7 +76,6 @@ class MIRemoteTracker(Tracker):
         self._client: Optional[MIClient] = None
         self._restart_policy = restart_policy or BackoffPolicy()
         self._transport_factory = transport_factory
-        self._filename = ""
         #: whether -exec-run has completed once (vs. still in flight);
         #: decides if a backend restart must re-launch the inferior
         self._inferior_launched = False
@@ -109,7 +104,7 @@ class MIRemoteTracker(Tracker):
     def _install_tracked(self, point: TrackedFunction) -> None:
         """Install one tracked function on the server."""
         self._client.execute(
-            "-track-function", [point.function], _maxdepth(point.maxdepth)
+            "-track-function", [point.function], point_options(point)
         )
 
     def _map_breakpoint_pause(
@@ -120,10 +115,6 @@ class MIRemoteTracker(Tracker):
         Return ``None`` to fall through to the generic BREAKPOINT reason.
         """
         return None
-
-    def _decode_retval(self, payload: Dict[str, Any]) -> Any:
-        """Decode a ``function-exit`` payload's serialized return value."""
-        return payload.get("retval")
 
     def _reset_backend_state(self) -> None:
         """Clear substrate bookkeeping invalidated by a restart/clear."""
@@ -138,8 +129,7 @@ class MIRemoteTracker(Tracker):
             args,
             transport_factory=self._make_transport_factory(path, args),
         )
-        loaded = self._execute("-file-exec-and-symbols", [path])
-        self._filename = loaded["file"] if loaded else path
+        self._execute("-file-exec-and-symbols", [path])
 
     def _start(self) -> None:
         self._sync_control_points()
@@ -201,8 +191,8 @@ class MIRemoteTracker(Tracker):
         """An exec command, with deadline interrupt and crash recovery."""
         payload = self._dispatch_run_control(name)
         if payload.get("reason") == "interrupted":
-            if self._count_interrupts_locally:
-                self.engine.stats.interrupts += 1
+            # The hosted tracker counted the interrupt; -tracker-stats
+            # merges its counters in.
             self._emit_supervision_event(
                 SupervisionEvent(
                     INFERIOR_INTERRUPTED,
@@ -254,12 +244,11 @@ class MIRemoteTracker(Tracker):
         finds the server in a valid ``STOPPED`` state.
         """
         self._client.restart()
-        loaded = self._client.execute(
+        self._client.execute(
             "-file-exec-and-symbols",
             [self._program],
             deadline=self._attempt_deadline(),
         )
-        self._filename = loaded["file"] if loaded else self._program
         self._reset_backend_state()
         self.engine.reset_sync()
         self._sync_control_points()
@@ -322,19 +311,19 @@ class MIRemoteTracker(Tracker):
                 self._client.execute(
                     "-break-insert",
                     [location],
-                    _point_options(point),
+                    point_options(point),
                 )
             elif isinstance(point, FunctionBreakpoint):
                 self._client.execute(
                     "-break-insert",
                     [point.function],
-                    _point_options(point),
+                    point_options(point),
                 )
             elif isinstance(point, Watchpoint):
                 self._client.execute(
                     "-break-watch",
                     [point.variable_id],
-                    _maxdepth(point.maxdepth),
+                    point_options(point),
                 )
             elif isinstance(point, TrackedFunction):
                 self._install_tracked(point)
@@ -345,73 +334,21 @@ class MIRemoteTracker(Tracker):
 
     def _ingest(self, payload: Dict[str, Any]) -> None:
         self._timeline_dirty = True
-        reason = payload.get("reason")
         line = payload.get("line")
         if line is not None:
             self.last_lineno = self.next_lineno
             self.next_lineno = line
-        if reason == "exited":
+        reason = protocol.decode_stop(payload)
+        if reason.type is PauseReasonType.EXIT:
             self._exit_code = payload.get("exitcode", 0)
-            self._pause_reason = PauseReason(type=PauseReasonType.EXIT)
             self.exit_error = payload.get("error")
-            return
-        if reason == "interrupted":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.INTERRUPT, line=line
-            ))
-            return
-        if reason == "deadlock-suspected":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.DEADLOCK_SUSPECTED,
-                line=line,
-                details=payload.get("deadlock"),
-            ))
-            return
-        if reason == "watchpoint-trigger":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.WATCH,
-                variable=payload.get("var"),
-                old_value=payload.get("old"),
-                new_value=payload.get("new"),
-                line=line,
-            ))
-            return
-        if reason == "function-entry":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.CALL,
-                function=payload.get("func"),
-                line=line,
-            ))
-            return
-        if reason == "function-exit":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.RETURN,
-                function=payload.get("func"),
-                return_value=self._decode_retval(payload),
-                line=line,
-            ))
-            return
-        if reason == "breakpoint-hit":
+        elif reason.type is PauseReasonType.BREAKPOINT:
             mapped = self._map_breakpoint_pause(payload, line)
             if mapped is not None:
-                self._pause_reason = self._with_thread(payload, mapped)
-                return
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.BREAKPOINT,
-                function=payload.get("func"),
-                line=line,
-            ))
-            return
-        self._pause_reason = self._with_thread(
-            payload, PauseReason(type=PauseReasonType.STEP, line=line)
-        )
-
-    @staticmethod
-    def _with_thread(payload: Dict[str, Any], reason: PauseReason) -> PauseReason:
-        """Stamp a decoded pause with the stop payload's thread fields."""
-        reason.thread = payload.get("thread")
-        reason.thread_name = payload.get("thread-name")
-        return reason
+                mapped.thread = reason.thread
+                mapped.thread_name = reason.thread_name
+                reason = mapped
+        self._pause_reason = reason
 
     # ------------------------------------------------------------------
     # Inspection
@@ -546,8 +483,7 @@ class MIRemoteTracker(Tracker):
         stays in the server process.
         """
         if not self._remote_recording:
-            # Local recording (or none): answer through the unified view.
-            return self.timeline_view().query(text).to_dict()
+            return super().timeline_query(text)
         return self._execute("-timeline-query", [text])
 
     def _after_control(self, record: Optional[bool]) -> None:
@@ -565,11 +501,7 @@ class MIRemoteTracker(Tracker):
         super()._after_control(record)
 
 
-def _maxdepth(value: Optional[int]) -> Optional[Dict[str, int]]:
-    return {"maxdepth": value} if value is not None else None
-
-
-def _point_options(point: Any) -> Optional[Dict[str, int]]:
+def point_options(point: Any) -> Optional[Dict[str, int]]:
     """MI options for a control point: ``--maxdepth`` and ``--thread``."""
     options: Dict[str, int] = {}
     if getattr(point, "maxdepth", None) is not None:

@@ -1,43 +1,36 @@
 """The debug server: GDB's role in the reproduction.
 
 Runs as a subprocess (``python -m repro.mi.server program.c``), reads MI
-commands on stdin, emits records on stdout. Inside, it drives a mini-C or
-RISC-V inferior through its event generator and implements all run control:
-line/function/address breakpoints with the ``maxdepth`` extension, byte-
-level watchpoints, function entry/exit tracking, and step/next/finish.
+commands on stdin, emits records on stdout. Like the paper's GDB, it owns
+all run control: inside, an :class:`InferiorTracker` drives a mini-C or
+RISC-V inferior through its event generator — line/function breakpoints
+with the ``maxdepth`` extension, byte-level watchpoints, function
+entry/exit tracking, step/next/finish, timeline recording — through the
+same :class:`repro.core.tracker.Tracker` API every backend implements.
 
-The protocol-side plumbing (dispatch, interrupt flag, control-point
-numbering, the stdio loop) lives in :mod:`repro.mi.servercore`, shared
-with the out-of-process Python server (:mod:`repro.subproc.server`); this
-module adds the event-generator run loop over the interpreter inferiors.
+Everything that only calls that API (run control, breakpoints, watches,
+inspection, the ``-timeline-*`` family, the ``*stopped`` encoding) lives
+in :class:`repro.mi.servercore.ServerCore`, shared with the out-of-process
+Python server (:mod:`repro.subproc.server`). :class:`DebugServer` adds
+what only this substrate has: address breakpoints, registers, memory,
+disassembly, the heap map, ``=alloc`` notifications, the ``bkptno`` /
+``pc`` / ``wpnum`` stop fields, and an inline interrupt poll.
 
-``DebugServer.handle`` is pure (command line in, record lines out), so the
-whole server is unit-testable without pipes; ``main`` adds the stdio loop.
+``DebugServer.handle`` is pure (command line in, record lines out), so
+the whole server is unit-testable without pipes; ``main`` adds the stdio
+loop.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.engine import AddressBreakpoint, ControlPointEngine
-from repro.core.errors import ProgramLoadError, TrackerError
+from repro.core.engine import AddressBreakpoint
+from repro.core.errors import ProgramLoadError
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import frame_to_dict, variable_to_dict
-from repro.core.timeline import (
-    EVENT_CALL,
-    EVENT_EXIT,
-    EVENT_LINE,
-    EVENT_RETURN,
-    StateSnapshot,
-    Timeline,
-)
-from repro.core.tracker import (
-    FunctionBreakpoint,
-    LineBreakpoint,
-    TrackedFunction,
-    Watchpoint,
-)
+from repro.core.state import Frame, Variable
+from repro.core.tracker import LineBreakpoint, Tracker, Watchpoint
 from repro.minic.events import (
     AllocEvent,
     CallEvent,
@@ -49,16 +42,7 @@ from repro.minic.events import (
 )
 from repro.mi import protocol
 from repro.mi.inferiors import InferiorAdapter, open_inferior
-from repro.mi.servercore import (
-    REASON_TYPES,
-    LineChannel,
-    ServerCore,
-    serve_stdio,
-)
-
-#: Backwards-compatible aliases (pre-refactor import sites).
-_REASON_TYPES = REASON_TYPES
-_LineChannel = LineChannel
+from repro.mi.servercore import ServerCore, serve_stdio
 
 #: How many inferior events run between two interrupt-poll callbacks.
 #: The flag itself is checked on every event; the poll (a select() on
@@ -66,149 +50,323 @@ _LineChannel = LineChannel
 _INTERRUPT_POLL_EVERY = 128
 
 
-class DebugServer(ServerCore):
-    """One debugging session over one inferior program.
+class InferiorTracker(Tracker):
+    """The tracker over a mini-C or RISC-V inferior's event generator.
 
-    Control points are stored as the *core* dataclasses
-    (:class:`repro.core.tracker.LineBreakpoint` etc., plus
-    :class:`repro.core.engine.AddressBreakpoint`) inside a
-    :class:`repro.core.engine.ControlPointEngine`, the same decision core
-    the in-process trackers use; the server only adds an MI ``number``
-    attribute to each point for enable/disable/delete addressing.
+    The interpreters yield one event per observable step; holding the
+    generator *is* the pause. The run loop feeds each event to the shared
+    :class:`repro.core.engine.ControlPointEngine` — the server-side analog
+    of the settrace handler — until it decides to pause. Hosted by
+    :class:`DebugServer`; tools reach these inferiors through
+    :class:`repro.gdbtracker.GDBTracker`, so this class is not a factory
+    backend.
+    """
+
+    backend = "GDB"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.inferior: Optional[InferiorAdapter] = None
+        self._events: Optional[Iterator[Event]] = None
+        #: reference depth for next/finish (the caller's after a return)
+        self._depth = 0
+        self._line: Optional[int] = None
+        self._stdout = ""
+        self._watch_baseline_done = False
+        self._events_since_poll = 0
+        self._interrupt_requested = False
+        #: polled every ``_INTERRUPT_POLL_EVERY`` events for an
+        #: ``-exec-interrupt`` (installed by the hosting server)
+        self.interrupt_poll: Optional[Callable[[], bool]] = None
+        #: function of the newest event
+        self.function: Optional[str] = None
+        #: frame depth of the last pause's event
+        self.stop_depth = 0
+        #: the breakpoint or watchpoint that caused the last pause
+        self.hit: Any = None
+        self.exit_error: Optional[str] = None
+        #: output and allocation events not yet drained by the server
+        self.side_events: List[Event] = []
+
+    def _load_program(self, path: str, args: List[str]) -> None:
+        self.inferior = open_inferior(path, args)
+
+    def _start(self) -> None:
+        self._events = self.inferior.events()
+        self._advance("step")
+
+    def _resume(self) -> None:
+        self._advance("resume")
+
+    def _next(self) -> None:
+        self._advance("next")
+
+    def _step(self) -> None:
+        self._advance("step")
+
+    def _finish(self) -> None:
+        self._advance("finish")
+
+    def _terminate(self) -> None:
+        self._events = None
+
+    def _request_interrupt(self) -> None:
+        self._interrupt_requested = True
+
+    def watch(
+        self,
+        variable_id: str,
+        maxdepth: Optional[int] = None,
+        thread: Optional[int] = None,
+    ) -> Watchpoint:
+        watchpoint = super().watch(variable_id, maxdepth, thread)
+        if self._started:
+            # Installed mid-run: the current value is the baseline; only a
+            # later modification fires.
+            function, name = watchpoint.split()
+            self.engine.seed_watch(
+                watchpoint, self.inferior.render_watch(function, name)
+            )
+        return watchpoint
+
+    # -- inspection -------------------------------------------------------
+
+    def _get_current_frame(self) -> Frame:
+        return self.inferior.frame_chain()
+
+    def _get_global_variables(self) -> Dict[str, Variable]:
+        return self.inferior.globals_map()
+
+    def _get_position(self) -> Tuple[str, Optional[int]]:
+        return self.inferior.filename, self.next_lineno
+
+    def get_output(self) -> str:
+        """Everything the inferior printed so far."""
+        return self._stdout
+
+    # -- the run loop -------------------------------------------------------
+
+    def _advance(self, mode: str) -> None:
+        """Consume events until a pause decision or the exit."""
+        engine = self.engine
+        engine.arm(mode, self._depth)
+        engine.refresh()
+        self.hit = None
+        while True:
+            if self._interrupt_pending():
+                self._interrupt_requested = False
+                engine.note_event("interrupt")
+                engine.stats.interrupts += 1
+                self._pause(
+                    PauseReason(type=PauseReasonType.INTERRUPT, line=self._line),
+                    self._depth,
+                )
+                return
+            event = next(self._events, None)
+            if event is None or isinstance(event, ExitEvent):
+                self._exit(event)
+                return
+            if isinstance(event, OutputEvent):
+                self._stdout += event.text
+                self.side_events.append(event)
+                continue
+            if isinstance(event, AllocEvent):
+                self.side_events.append(event)
+                continue
+            if isinstance(event, CallEvent):
+                self._depth = event.depth
+                self.function = event.function
+                reason = self._check_call(event)
+            elif isinstance(event, ReturnEvent):
+                self.function = event.function
+                reason = self._check_return(event)
+                self._depth = max(event.depth - 1, 0)
+            elif isinstance(event, LineEvent):
+                self._depth = event.depth
+                self.function = event.function
+                self._line = event.line
+                reason = self._check_line(event)
+            else:
+                # WriteEvent and any future event kinds: no run-control effect.
+                continue
+            if reason is not None:
+                self._pause(reason, event.depth)
+                return
+
+    def _interrupt_pending(self) -> bool:
+        """Whether an interrupt arrived (flag, or stdin every N events)."""
+        if self._interrupt_requested:
+            return True
+        self._events_since_poll += 1
+        if (
+            self.interrupt_poll is not None
+            and self._events_since_poll >= _INTERRUPT_POLL_EVERY
+        ):
+            self._events_since_poll = 0
+            return self.interrupt_poll()
+        return False
+
+    def _pause(self, reason: PauseReason, depth: int) -> None:
+        self.engine.record_pause(reason.type)
+        self.stop_depth = depth
+        self._pause_reason = reason
+        self.last_lineno = self.next_lineno
+        self.next_lineno = reason.line
+
+    def _exit(self, event: Optional[ExitEvent]) -> None:
+        self.engine.note_event("exit")
+        self.engine.record_pause(PauseReasonType.EXIT)
+        self._exit_code = event.code if event is not None else 0
+        self.exit_error = self.inferior.exit_error()
+        self._pause_reason = PauseReason(type=PauseReasonType.EXIT)
+
+    def _check_call(self, event: CallEvent) -> Optional[PauseReason]:
+        engine = self.engine
+        engine.note_event("call")
+        if not engine.may_match_function(event.function):
+            return None
+        matched = engine.match_function_breakpoint(event.function, event.depth)
+        if matched is not None:
+            self.hit = matched
+            return PauseReason(
+                type=PauseReasonType.BREAKPOINT,
+                function=event.function,
+                line=event.line,
+            )
+        if engine.match_tracked(event.function, event.depth) is not None:
+            return PauseReason(
+                type=PauseReasonType.CALL, function=event.function,
+                line=event.line,
+            )
+        return None
+
+    def _check_return(self, event: ReturnEvent) -> Optional[PauseReason]:
+        engine = self.engine
+        engine.note_event("return")
+        if not engine.may_match_function(event.function):
+            return None
+        if engine.match_tracked(event.function, event.depth) is not None:
+            return PauseReason(
+                type=PauseReasonType.RETURN,
+                function=event.function,
+                return_value=event.value,
+                line=event.line,
+            )
+        return None
+
+    def _check_line(self, event: LineEvent) -> Optional[PauseReason]:
+        engine = self.engine
+        engine.note_event("line")
+        if not self._watch_baseline_done:
+            # C globals exist (initialized) before the first line runs, so
+            # the first check only records baselines — a watch fires on
+            # *modification*, not on the pre-existing initial value.
+            self._watch_baseline_done = True
+            engine.baseline_watches(self.inferior.render_watch)
+        elif engine.has_watchpoints:
+            hit = engine.evaluate_watches(
+                event.depth, self.inferior.render_watch
+            )
+            if hit is not None:
+                self.hit, old, new = hit
+                return PauseReason(
+                    type=PauseReasonType.WATCH,
+                    variable=self.hit.variable_id,
+                    old_value=old,
+                    new_value=new,
+                    line=event.line,
+                )
+        matched: Any = None
+        if engine.may_match_line(event.line):
+            matched = engine.match_line(None, event.line, event.depth)
+        if matched is None and engine.has_address_breakpoints:
+            # The program counter is only fetched when an address
+            # breakpoint could match.
+            matched = engine.match_address(
+                self.inferior.current_pc(), event.depth
+            )
+        if matched is not None:
+            self.hit = matched
+            return PauseReason(
+                type=PauseReasonType.BREAKPOINT,
+                function=event.function,
+                line=event.line,
+            )
+        if engine.should_step_pause(event.depth):
+            return PauseReason(type=PauseReasonType.STEP, line=event.line)
+        return None
+
+
+class DebugServer(ServerCore):
+    """One debugging session over one mini-C or RISC-V inferior.
+
+    Hosts an :class:`InferiorTracker`; control points are the tracker's
+    own (:class:`repro.core.tracker.LineBreakpoint` etc., plus
+    :class:`repro.core.engine.AddressBreakpoint`), with an MI ``number``
+    attribute added for enable/disable/delete addressing.
     """
 
     def __init__(self, path: str, args: Optional[List[str]] = None):
         super().__init__()
         self.path = path
-        self.inferior: InferiorAdapter = open_inferior(path, args)
-        self._events: Optional[Iterator[Event]] = None
-        self.engine = ControlPointEngine()
-        self._running = False
-        self._exited = False
-        self._exit_code: Optional[int] = None
-        self._depth = 0
-        self._line: Optional[int] = None
-        self._last_line: Optional[int] = None
-        self._watch_baseline_done = False
-        self._events_since_poll = 0
-        #: Server-side timeline recording (the ``-timeline-*`` family):
-        #: snapshots are captured at every ``*stopped`` while recording is
-        #: on, so the whole history crosses the pipe once, on demand.
-        self._timeline: Optional[Timeline] = None
-        self._recording = False
-        self._stdout = ""
-        self._event_kind = EVENT_LINE
-        self._func: Optional[str] = None
-        self._last_stop: Optional[Dict[str, Any]] = None
+        self.tracker = InferiorTracker()
+        self.tracker.load_program(path, args)
+        self.inferior: InferiorAdapter = self.tracker.inferior
 
-    # -- lifecycle -------------------------------------------------------
+    def _run(self, control: Callable[[], None]) -> None:
+        # The poll runs inline, every _INTERRUPT_POLL_EVERY events: no
+        # watcher thread per control call.
+        self.tracker.interrupt_poll = self.interrupt_poll
+        control()
+
+    def _drain_output(self) -> List[str]:
+        records = []
+        for event in self.tracker.side_events:
+            if isinstance(event, OutputEvent):
+                records.append(protocol.format_stream(event.text))
+            else:
+                records.append(
+                    protocol.format_notify(
+                        "alloc",
+                        {
+                            "kind": event.kind,
+                            "address": event.address,
+                            "size": event.size,
+                        },
+                    )
+                )
+        self.tracker.side_events.clear()
+        return records
+
+    def _stop_fields(self, reason: PauseReason) -> Dict[str, Any]:
+        tracker = self.tracker
+        if reason.type is PauseReasonType.EXIT:
+            return {"error": tracker.exit_error} if tracker.exit_error else {}
+        fields: Dict[str, Any] = {"depth": tracker.stop_depth}
+        if reason.type is PauseReasonType.INTERRUPT:
+            return fields
+        fields["func"] = tracker.function
+        hit = tracker.hit
+        if hit is not None:
+            key = "wpnum" if isinstance(hit, Watchpoint) else "bkptno"
+            fields[key] = getattr(hit, "number", 0)
+        if reason.type is PauseReasonType.STEP or isinstance(
+            hit, (LineBreakpoint, AddressBreakpoint)
+        ):
+            fields["pc"] = self.inferior.current_pc()
+        return fields
+
+    # -- what only this substrate has ---------------------------------------
 
     def _cmd_file_exec_and_symbols(self, command) -> List[str]:
         return [protocol.format_done({"file": self.inferior.filename})]
 
-    def _cmd_exec_run(self, command) -> List[str]:
-        if self._running:
-            return [protocol.format_error("the inferior is already running")]
-        self._events = self.inferior.events()
-        self._running = True
-        return [protocol.format_running()] + self._advance("step")
-
-    def _cmd_exec_continue(self, command) -> List[str]:
-        return self._exec("continue")
-
-    def _cmd_exec_step(self, command) -> List[str]:
-        return self._exec("step")
-
-    def _cmd_exec_next(self, command) -> List[str]:
-        return self._exec("next")
-
-    def _cmd_exec_finish(self, command) -> List[str]:
-        return self._exec("finish")
-
-    def _exec(self, mode: str) -> List[str]:
-        if not self._running:
-            return [protocol.format_error("the inferior has not been started")]
-        if self._exited:
-            return [protocol.format_error("the inferior has exited")]
-        return [protocol.format_running()] + self._advance(mode)
-
-    def _cmd_exec_interrupt(self, command) -> List[str]:
-        """A stale interrupt: the inferior stopped before it arrived.
-
-        The live case never reaches command dispatch — while the run
-        loop is busy, ``-exec-interrupt`` is consumed by the stdin poller
-        (or delivered as SIGINT) and answered by the ``*stopped`` record
-        of the interrupted exec command. Emitting nothing here keeps the
-        stale case from desynchronizing the client's request/reply
-        pairing.
-        """
-        return []
-
-    # -- control points --------------------------------------------------
-
-    def _cmd_break_insert(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("break-insert needs a location")]
-        location = command.args[0]
-        maxdepth = command.option_int("maxdepth")
-        if location.startswith("*"):
-            point: Any = AddressBreakpoint(
-                address=int(location[1:], 0), maxdepth=maxdepth
-            )
-            self.engine.address_breakpoints.append(point)
-        elif ":" in location:
-            point = LineBreakpoint(
-                line=int(location.rsplit(":", 1)[1]), maxdepth=maxdepth
-            )
-            self.engine.line_breakpoints.append(point)
-        elif location.isdigit():
-            point = LineBreakpoint(line=int(location), maxdepth=maxdepth)
-            self.engine.line_breakpoints.append(point)
-        else:
-            point = FunctionBreakpoint(function=location, maxdepth=maxdepth)
-            self.engine.function_breakpoints.append(point)
-        return [protocol.format_done({"number": self._register(point)})]
-
-    def _cmd_break_watch(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("break-watch needs a variable id")]
-        watch = Watchpoint(
-            variable_id=command.args[0],
-            maxdepth=command.option_int("maxdepth"),
-        )
-        if self._running:
-            # Installed mid-run: the current value is the baseline; only a
-            # later modification fires.
-            function, name = watch.split()
-            self.engine.seed_watch(
-                watch, self.inferior.render_watch(function, name)
-            )
-        self.engine.watchpoints.append(watch)
-        return [protocol.format_done({"number": self._register(watch)})]
-
-    def _cmd_track_function(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("track-function needs a name")]
-        tracked = TrackedFunction(
-            function=command.args[0],
-            maxdepth=command.option_int("maxdepth"),
-        )
-        self.engine.tracked_functions.append(tracked)
-        return [protocol.format_done({"number": self._register(tracked)})]
-
-    # -- inspection --------------------------------------------------------
-
-    def _cmd_stack_list_frames(self, command) -> List[str]:
-        self._require_paused()
-        return [protocol.format_done(frame_to_dict(self.inferior.frame_chain()))]
-
-    def _cmd_data_list_globals(self, command) -> List[str]:
-        self._require_paused()
-        payload = {
-            name: variable_to_dict(variable)
-            for name, variable in self.inferior.globals_map().items()
-        }
-        return [protocol.format_done(payload)]
+    def _break_at_address(
+        self, address: int, maxdepth: Optional[int]
+    ) -> AddressBreakpoint:
+        point = AddressBreakpoint(address=address, maxdepth=maxdepth)
+        self.engine.address_breakpoints.append(point)
+        return point
 
     def _cmd_data_list_register_values(self, command) -> List[str]:
         registers = self.inferior.registers()
@@ -225,21 +383,9 @@ class DebugServer(ServerCore):
     def _cmd_data_disassemble(self, command) -> List[str]:
         return [protocol.format_done(self.inferior.disassemble(command.args[0]))]
 
-    def _cmd_data_evaluate_expression(self, command) -> List[str]:
-        self._require_paused()
-        name = command.args[0]
-        frame_name = command.options.get("frame")
-        rendered = self.inferior.render_watch(frame_name, name)
-        if rendered is None:
-            return [protocol.format_error(f"no variable {name!r} in scope")]
-        return [protocol.format_done({"value": rendered})]
-
-    def _cmd_inferior_position(self, command) -> List[str]:
-        return [
-            protocol.format_done(
-                {"file": self.inferior.filename, "line": self._line}
-            )
-        ]
+    def _evaluate(self, function: Optional[str], name: str) -> Optional[str]:
+        self.tracker._require_paused()
+        return self.inferior.render_watch(function, name)
 
     def _cmd_list_functions(self, command) -> List[str]:
         return [protocol.format_done(self.inferior.function_names())]
@@ -250,369 +396,6 @@ class DebugServer(ServerCore):
             for address, size in self.inferior.heap_blocks().items()
         }
         return [protocol.format_done(payload)]
-
-    def _require_paused(self) -> None:
-        if not self._running:
-            raise TrackerError("the inferior has not been started")
-        if self._exited:
-            raise TrackerError("the inferior has exited")
-
-    # ------------------------------------------------------------------
-    # Run control: the server-side analog of the settrace handler
-    # ------------------------------------------------------------------
-
-    def _advance(self, mode: str) -> List[str]:
-        """Consume events until a pause decision; return the record lines."""
-        if self._events is None:
-            return [protocol.format_error("the inferior has not been started")]
-        if self._exited:
-            return [protocol.format_error("the inferior has exited")]
-        records: List[str] = []
-        engine = self.engine
-        engine.arm("resume" if mode == "continue" else mode, self._depth)
-        engine.refresh()
-        while True:
-            if self._interrupt_pending():
-                self._interrupt_requested = False
-                return self._stop(
-                    records,
-                    {
-                        "reason": "interrupted",
-                        "line": self._line,
-                        "depth": self._depth,
-                    },
-                )
-            try:
-                event = next(self._events)
-            except StopIteration:
-                stopped = self._stop_exited(records)
-                return stopped
-            if isinstance(event, OutputEvent):
-                self._stdout += event.text
-                records.append(protocol.format_stream(event.text))
-                continue
-            if isinstance(event, AllocEvent):
-                records.append(
-                    protocol.format_notify(
-                        "alloc",
-                        {
-                            "kind": event.kind,
-                            "address": event.address,
-                            "size": event.size,
-                        },
-                    )
-                )
-                continue
-            if isinstance(event, ExitEvent):
-                self._exit_code = event.code
-                return self._stop_exited(records, event)
-            if isinstance(event, CallEvent):
-                self._depth = event.depth
-                self._event_kind = EVENT_CALL
-                self._func = event.function
-                reason = self._check_call(event)
-                if reason is not None:
-                    return self._stop(records, reason)
-                continue
-            if isinstance(event, ReturnEvent):
-                self._event_kind = EVENT_RETURN
-                self._func = event.function
-                reason = self._check_return(event)
-                self._depth = max(event.depth - 1, 0)
-                if reason is not None:
-                    return self._stop(records, reason)
-                continue
-            if isinstance(event, LineEvent):
-                self._depth = event.depth
-                self._event_kind = EVENT_LINE
-                self._func = event.function
-                self._last_line = self._line
-                self._line = event.line
-                reason = self._check_line(event)
-                if reason is not None:
-                    return self._stop(records, reason)
-                continue
-            # WriteEvent and any future event kinds: no run-control effect.
-
-    def _interrupt_pending(self) -> bool:
-        """Whether an interrupt arrived (flag, or stdin every N events)."""
-        if self._interrupt_requested:
-            return True
-        self._events_since_poll += 1
-        if (
-            self.interrupt_poll is not None
-            and self._events_since_poll >= _INTERRUPT_POLL_EVERY
-        ):
-            self._events_since_poll = 0
-            return self.interrupt_poll()
-        return False
-
-    def _stop(
-        self, records: List[str], reason: Dict[str, Any]
-    ) -> List[str]:
-        self.engine.record_pause(
-            _REASON_TYPES.get(reason.get("reason"), reason.get("reason"))
-        )
-        self._last_stop = reason
-        self._record_snapshot(reason)
-        records.append(protocol.format_stopped(reason))
-        return records
-
-    def _stop_exited(
-        self, records: List[str], event: Optional[ExitEvent] = None
-    ) -> List[str]:
-        self._exited = True
-        self.engine.note_event("exit")
-        payload: Dict[str, Any] = {
-            "reason": "exited",
-            "exitcode": self._exit_code if self._exit_code is not None else 0,
-        }
-        error = self.inferior.exit_error()
-        if event is not None and event.error:
-            error = event.error
-        if error:
-            payload["error"] = error
-        return self._stop(records, payload)
-
-    def _check_call(self, event: CallEvent) -> Optional[Dict[str, Any]]:
-        engine = self.engine
-        engine.note_event("call")
-        if not engine.may_match_function(event.function):
-            return None
-        matched = engine.match_function_breakpoint(event.function, event.depth)
-        if matched is not None:
-            return {
-                "reason": "breakpoint-hit",
-                "func": event.function,
-                "line": event.line,
-                "depth": event.depth,
-                "bkptno": getattr(matched, "number", 0),
-            }
-        if engine.match_tracked(event.function, event.depth) is not None:
-            return {
-                "reason": "function-entry",
-                "func": event.function,
-                "line": event.line,
-                "depth": event.depth,
-            }
-        return None
-
-    def _check_return(self, event: ReturnEvent) -> Optional[Dict[str, Any]]:
-        engine = self.engine
-        engine.note_event("return")
-        if not engine.may_match_function(event.function):
-            return None
-        if engine.match_tracked(event.function, event.depth) is not None:
-            return {
-                "reason": "function-exit",
-                "func": event.function,
-                "line": event.line,
-                "depth": event.depth,
-                "retval": event.value,
-            }
-        return None
-
-    def _check_line(self, event: LineEvent) -> Optional[Dict[str, Any]]:
-        engine = self.engine
-        engine.note_event("line")
-        if not self._watch_baseline_done:
-            # C globals exist (initialized) before the first line runs, so
-            # the first check only records baselines — a watch fires on
-            # *modification*, not on the pre-existing initial value.
-            self._watch_baseline_done = True
-            engine.baseline_watches(self.inferior.render_watch)
-        elif engine.has_watchpoints:
-            hit = engine.evaluate_watches(
-                event.depth, self.inferior.render_watch
-            )
-            if hit is not None:
-                watch, old, new = hit
-                return {
-                    "reason": "watchpoint-trigger",
-                    "var": watch.variable_id,
-                    "old": old,
-                    "new": new,
-                    "line": event.line,
-                    "func": event.function,
-                    "depth": event.depth,
-                    "wpnum": getattr(watch, "number", 0),
-                }
-        # The program counter is only fetched when something needs it:
-        # an address breakpoint is installed or a stop payload is built.
-        pc: Optional[int] = None
-        if engine.may_match_line(event.line):
-            matched = engine.match_line(None, event.line, event.depth)
-            if matched is not None:
-                pc = self.inferior.current_pc()
-                return {
-                    "reason": "breakpoint-hit",
-                    "line": event.line,
-                    "func": event.function,
-                    "depth": event.depth,
-                    "bkptno": getattr(matched, "number", 0),
-                    "pc": pc,
-                }
-        if engine.has_address_breakpoints:
-            pc = self.inferior.current_pc()
-            matched = engine.match_address(pc, event.depth)
-            if matched is not None:
-                return {
-                    "reason": "breakpoint-hit",
-                    "line": event.line,
-                    "func": event.function,
-                    "depth": event.depth,
-                    "bkptno": getattr(matched, "number", 0),
-                    "pc": pc,
-                }
-        if engine.should_step_pause(event.depth):
-            if pc is None:
-                pc = self.inferior.current_pc()
-            return {
-                "reason": "end-stepping-range",
-                "line": event.line,
-                "func": event.function,
-                "depth": event.depth,
-                "pc": pc,
-            }
-        return None
-
-    # ------------------------------------------------------------------
-    # Timeline recording: the server-side half of time travel
-    # ------------------------------------------------------------------
-
-    def _cmd_timeline_start(self, command) -> List[str]:
-        interval = command.option_int("keyframe-interval")
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError:
-            source = ""
-        self._timeline = Timeline(
-            keyframe_interval=interval if interval is not None else 16,
-            max_snapshots=command.option_int("max-snapshots"),
-            program=self.path,
-            source=source,
-            backend="GDB",
-        )
-        self._recording = True
-        if self._running and self._last_stop is not None and not self._exited:
-            # Already paused mid-run: the current state opens the timeline.
-            self._record_snapshot(self._last_stop)
-        return [protocol.format_done({"recording": True})]
-
-    def _cmd_timeline_stop(self, command) -> List[str]:
-        self._recording = False
-        return [protocol.format_done({"recording": False})]
-
-    def _cmd_timeline_length(self, command) -> List[str]:
-        timeline = self._require_timeline()
-        return [
-            protocol.format_done(
-                {
-                    "length": len(timeline),
-                    "start": timeline.start_index,
-                    "retained": timeline.retained,
-                }
-            )
-        ]
-
-    def _cmd_timeline_dump(self, command) -> List[str]:
-        return [protocol.format_done(self._require_timeline().to_dict())]
-
-    def _cmd_timeline_snapshot(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("timeline-snapshot needs an index")]
-        timeline = self._require_timeline()
-        return [
-            protocol.format_done(
-                timeline.snapshot(int(command.args[0])).to_dict()
-            )
-        ]
-
-    def _cmd_timeline_drop_last(self, command) -> List[str]:
-        return [
-            protocol.format_done(
-                {"dropped": self._require_timeline().drop_last()}
-            )
-        ]
-
-    def _require_timeline(self) -> Timeline:
-        if self._timeline is None:
-            raise TrackerError("no timeline; send -timeline-start first")
-        return self._timeline
-
-    def _record_snapshot(self, reason: Dict[str, Any]) -> None:
-        if self._timeline is None or not self._recording:
-            return
-        kind = reason.get("reason")
-        if kind == "exited":
-            self._timeline.append(
-                StateSnapshot(
-                    frame=None,
-                    globals={},
-                    filename=self.inferior.filename,
-                    line=self._line,
-                    depth=0,
-                    stdout=self._stdout,
-                    exit_code=reason.get("exitcode", 0),
-                    reason=PauseReason(type=PauseReasonType.EXIT),
-                    event=EVENT_EXIT,
-                )
-            )
-            return
-        line = reason.get("line", self._line)
-        frame = self.inferior.frame_chain()
-        self._timeline.append(
-            StateSnapshot(
-                frame=frame,
-                globals=self.inferior.globals_map(),
-                filename=self.inferior.filename,
-                line=line,
-                depth=reason.get("depth", self._depth),
-                stdout=self._stdout,
-                exit_code=None,
-                reason=self._snapshot_reason(kind, reason, line),
-                event=self._event_kind,
-                func_name=reason.get("func") or self._func or frame.name,
-            )
-        )
-
-    def _snapshot_reason(
-        self, kind: Optional[str], reason: Dict[str, Any], line: Optional[int]
-    ) -> PauseReason:
-        """The pause reason as the *client* would build it from the stop
-        payload (mirrors ``GDBTracker._ingest``), so recorded snapshots
-        look the same whether the recorder ran client- or server-side."""
-        if kind == "interrupted":
-            return PauseReason(type=PauseReasonType.INTERRUPT, line=line)
-        if kind == "watchpoint-trigger":
-            return PauseReason(
-                type=PauseReasonType.WATCH,
-                variable=reason.get("var"),
-                old_value=reason.get("old"),
-                new_value=reason.get("new"),
-                line=line,
-            )
-        if kind == "function-entry":
-            return PauseReason(
-                type=PauseReasonType.CALL,
-                function=reason.get("func"),
-                line=line,
-            )
-        if kind == "function-exit":
-            return PauseReason(
-                type=PauseReasonType.RETURN,
-                function=reason.get("func"),
-                return_value=reason.get("retval"),
-                line=line,
-            )
-        if kind == "breakpoint-hit":
-            return PauseReason(
-                type=PauseReasonType.BREAKPOINT,
-                function=reason.get("func"),
-                line=line,
-            )
-        return PauseReason(type=PauseReasonType.STEP, line=line)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,19 +1,25 @@
 """The backend-independent half of an MI debug server.
 
-Two servers speak the MI protocol in this reproduction: the event-loop
-server over the mini-C / RISC-V interpreters (:mod:`repro.mi.server`) and
-the out-of-process Python server hosting a :class:`PythonTracker` in a
-child interpreter (:mod:`repro.subproc.server`). Everything that is about
-*being an MI server* rather than about a particular inferior substrate
-lives here:
+Two servers speak the MI protocol in this reproduction, and both *host a
+tracker*: the server over the mini-C / RISC-V interpreters
+(:mod:`repro.mi.server`) hosts an in-process tracker over the inferior's
+event generator, and the out-of-process Python server
+(:mod:`repro.subproc.server`) hosts a :class:`PythonTracker` in a child
+interpreter. Everything that is about *being an MI server over a
+tracker* rather than about a particular inferior substrate lives here:
 
 - :class:`ServerCore` — command dispatch (``-name`` to ``_cmd_name``),
   defensive error translation (a handler bug becomes an ``^error`` record,
   never a dead pipe), session-id echo (a command prefixed ``s1-...`` gets
   every reply record prefixed ``s1``, the multiplexed-session framing; an
   id-less command stays id-less, preserving wire compatibility with
-  legacy clients), the async-interrupt flag, and the control-point number
-  registry shared by enable/disable/delete;
+  legacy clients), async-interrupt delivery, the control-point number
+  registry shared by enable/disable/delete, and every command that only
+  calls the hosted tracker's public API: run control, line/function
+  breakpoints, watches, tracked functions, frame/global/position
+  inspection and the ``-timeline-*`` recording family. Each ``*stopped``
+  record is built by :func:`repro.mi.protocol.encode_stop` from the
+  tracker's :attr:`pause_reason`;
 - :class:`LineChannel` — exact, pollable line reads over a raw fd, which
   is what lets a busy run loop notice an ``-exec-interrupt`` arriving
   mid-run, including *sleeping* waits (``select`` with a timeout) so a
@@ -38,58 +44,53 @@ import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import ProgramLoadError, ProtocolError, TrackerError
-from repro.core.pause import PauseReasonType
+from repro.core.pause import PauseReason, PauseReasonType
+from repro.core.state import frame_to_dict, variable_to_dict
 from repro.mi import protocol
-
-#: MI stop-reason strings -> core pause-reason types (for the stats layer).
-REASON_TYPES = {
-    "breakpoint-hit": PauseReasonType.BREAKPOINT,
-    "function-entry": PauseReasonType.CALL,
-    "function-exit": PauseReasonType.RETURN,
-    "watchpoint-trigger": PauseReasonType.WATCH,
-    "end-stepping-range": PauseReasonType.STEP,
-    "exited": PauseReasonType.EXIT,
-    "interrupted": PauseReasonType.INTERRUPT,
-    "deadlock-suspected": PauseReasonType.DEADLOCK_SUSPECTED,
-}
-
-#: The inverse map, for servers that build stop payloads from a
-#: client-style :class:`PauseReason` (the subprocess Python server).
-REASON_NAMES = {reason: name for name, reason in REASON_TYPES.items()}
 
 
 class ServerCore:
-    """Dispatch and bookkeeping common to every MI debug server.
+    """Dispatch, bookkeeping and tracker-API commands of every MI server.
 
-    Subclasses provide ``_cmd_<name>`` handlers (dashes in the MI command
-    name map to underscores) and an ``engine``
-    (:class:`repro.core.engine.ControlPointEngine`) holding the
-    control-point registries; this base owns the MI ``number`` assignment
-    and the number-addressed enable/disable/delete commands.
+    Subclasses set :attr:`tracker` (a :class:`repro.core.tracker.Tracker`,
+    whose ``engine`` holds the control-point registries) and :attr:`path`
+    (``None`` while no program is loaded), provide ``_cmd_<name>``
+    handlers for their substrate's own commands (dashes in the MI command
+    name map to underscores), and override the hooks :meth:`_run` (how a
+    blocking control call runs), :meth:`_drain_output` (the async records
+    it produced), :meth:`_stop_fields` (substrate fields of the
+    ``*stopped`` record), :meth:`_evaluate` (variable rendering) and
+    :meth:`_break_at_address`.
     """
 
     def __init__(self) -> None:
+        self.tracker: Any = None
+        self.path: Optional[str] = None
+        #: whether ``-exec-run`` was accepted
+        self._running = False
         self._number = 0
         self._finished = False
-        #: Set asynchronously (SIGINT handler) or via the stdin poller to
-        #: make a busy run-control loop stop with reason "interrupted".
-        self._interrupt_requested = False
         #: Injected by ``serve_stdio``: polls stdin for an
         #: ``-exec-interrupt`` that arrived while the server is busy.
         #: Accepts an optional ``timeout`` (seconds to *sleep* in select
         #: when nothing is pending, instead of busy-spinning) and an
         #: optional ``wake_fd`` (an extra fd whose readability cuts the
         #: sleep short, the self-pipe idiom). ``None`` in unit-test use
-        #: (tests set the flag directly).
+        #: (tests call :meth:`request_interrupt` directly).
         self.interrupt_poll: Optional[Callable[..., bool]] = None
 
-    def request_interrupt(self) -> None:
-        """Ask the busy run-control loop to stop at the next opportunity.
+    @property
+    def engine(self) -> Any:
+        """The hosted tracker's :class:`ControlPointEngine`."""
+        return self.tracker.engine
 
-        Async-signal-safe (a bare attribute store): callable from a signal
-        handler, another thread, or a test.
+    def request_interrupt(self) -> None:
+        """Ask the busy control call to pause at the next opportunity.
+
+        Async-signal-safe (the hosted tracker stores a flag): callable
+        from a signal handler, another thread, or a test.
         """
-        self._interrupt_requested = True
+        self.tracker._request_interrupt()
 
     # ------------------------------------------------------------------
     # Command dispatch
@@ -129,12 +130,140 @@ class ServerCore:
             return [protocol.format_error(f"{type(error).__name__}: {error}")]
 
     def _cmd_gdb_exit(self, command) -> List[str]:
+        self.tracker.terminate()
         self._finished = True
         return [protocol.format_done()]
 
     # ------------------------------------------------------------------
-    # Control-point numbering (enable/disable/delete addressing)
+    # Run control over the hosted tracker
     # ------------------------------------------------------------------
+
+    def _cmd_exec_run(self, command) -> List[str]:
+        if self.path is None:
+            return [protocol.format_error("no program loaded")]
+        if self._running:
+            return [protocol.format_error("the inferior is already running")]
+        self._running = True
+        return self._exec(self.tracker.start)
+
+    def _cmd_exec_continue(self, command) -> List[str]:
+        return self._guarded_exec(self.tracker.resume)
+
+    def _cmd_exec_step(self, command) -> List[str]:
+        return self._guarded_exec(self.tracker.step)
+
+    def _cmd_exec_next(self, command) -> List[str]:
+        return self._guarded_exec(self.tracker.next)
+
+    def _cmd_exec_finish(self, command) -> List[str]:
+        return self._guarded_exec(self.tracker.finish)
+
+    def _cmd_exec_interrupt(self, command) -> List[str]:
+        """A stale interrupt: the inferior stopped before it arrived.
+
+        The live case never reaches command dispatch — while a control
+        call is busy, ``-exec-interrupt`` is consumed by the stdin poller
+        (or delivered as SIGINT) and answered by the ``*stopped`` record
+        of the interrupted exec command. Emitting nothing keeps the stale
+        case from desynchronizing the client's request/reply pairing.
+        """
+        return []
+
+    def _guarded_exec(self, control: Callable[[], None]) -> List[str]:
+        if not self._running:
+            return [protocol.format_error("the inferior has not been started")]
+        if self.tracker.get_exit_code() is not None:
+            return [protocol.format_error("the inferior has exited")]
+        return self._exec(control)
+
+    def _exec(self, control: Callable[[], None]) -> List[str]:
+        """Run one control call; reply ``^running``, output, ``*stopped``."""
+        self._run(control)
+        records = [protocol.format_running()]
+        records.extend(self._drain_output())
+        records.append(protocol.format_stopped(self._stop_payload()))
+        return records
+
+    def _run(self, control: Callable[[], None]) -> None:
+        """Hook: run one blocking control call of the hosted tracker."""
+        control()
+
+    def _drain_output(self) -> List[str]:
+        """Hook: the async records (output, notifications) of the run."""
+        return []
+
+    def _stop_payload(self) -> Dict[str, Any]:
+        """The ``*stopped`` payload of the tracker's current pause."""
+        tracker = self.tracker
+        exit_code = tracker.get_exit_code()
+        if exit_code is not None:
+            reason = PauseReason(type=PauseReasonType.EXIT)
+            fields: Dict[str, Any] = {"exitcode": exit_code}
+        else:
+            reason = tracker.pause_reason or PauseReason(
+                type=PauseReasonType.STEP, line=tracker.next_lineno
+            )
+            fields = {}
+            if reason.line is None:
+                fields["line"] = tracker.next_lineno
+        fields.update(self._stop_fields(reason))
+        return protocol.encode_stop(reason, **fields)
+
+    def _stop_fields(self, reason: PauseReason) -> Dict[str, Any]:
+        """Hook: substrate fields added to the ``*stopped`` payload."""
+        return {}
+
+    # ------------------------------------------------------------------
+    # Control points (over the tracker's public API) and their numbering
+    # ------------------------------------------------------------------
+
+    def _cmd_break_insert(self, command) -> List[str]:
+        if not command.args:
+            return [protocol.format_error("break-insert needs a location")]
+        location = command.args[0]
+        maxdepth = command.option_int("maxdepth")
+        thread = command.option_int("thread")
+        if location.startswith("*"):
+            point: Any = self._break_at_address(int(location[1:], 0), maxdepth)
+        elif ":" in location:
+            filename, _, line = location.rpartition(":")
+            point = self.tracker.break_before_line(
+                int(line), filename=filename or None, maxdepth=maxdepth,
+                thread=thread,
+            )
+        elif location.isdigit():
+            point = self.tracker.break_before_line(
+                int(location), maxdepth=maxdepth, thread=thread
+            )
+        else:
+            point = self.tracker.break_before_func(
+                location, maxdepth=maxdepth, thread=thread
+            )
+        return [protocol.format_done({"number": self._register(point)})]
+
+    def _break_at_address(self, address: int, maxdepth: Optional[int]) -> Any:
+        """Hook: install an address breakpoint; returns the point."""
+        raise TrackerError(
+            "address breakpoints are not supported for this inferior"
+        )
+
+    def _cmd_break_watch(self, command) -> List[str]:
+        if not command.args:
+            return [protocol.format_error("break-watch needs a variable id")]
+        point = self.tracker.watch(
+            command.args[0], maxdepth=command.option_int("maxdepth"),
+            thread=command.option_int("thread"),
+        )
+        return [protocol.format_done({"number": self._register(point)})]
+
+    def _cmd_track_function(self, command) -> List[str]:
+        if not command.args:
+            return [protocol.format_error("track-function needs a name")]
+        point = self.tracker.track_function(
+            command.args[0], maxdepth=command.option_int("maxdepth"),
+            thread=command.option_int("thread"),
+        )
+        return [protocol.format_done({"number": self._register(point)})]
 
     def _register(self, point: Any) -> int:
         """Assign the next MI number to a freshly appended control point."""
@@ -183,13 +312,103 @@ class ServerCore:
                 return [protocol.format_done()]
         return [protocol.format_error(f"no control point {number}")]
 
+    # ------------------------------------------------------------------
+    # Inspection
+    # ------------------------------------------------------------------
+
+    def _cmd_stack_list_frames(self, command) -> List[str]:
+        return [
+            protocol.format_done(frame_to_dict(self.tracker.get_current_frame()))
+        ]
+
+    def _cmd_data_list_globals(self, command) -> List[str]:
+        payload = {
+            name: variable_to_dict(variable)
+            for name, variable in self.tracker.get_global_variables().items()
+        }
+        return [protocol.format_done(payload)]
+
+    def _cmd_inferior_position(self, command) -> List[str]:
+        filename, line = self.tracker.get_position()
+        return [protocol.format_done({"file": filename, "line": line})]
+
+    def _cmd_thread_info(self, command) -> List[str]:
+        from repro.core.threads import thread_to_dict
+
+        return [
+            protocol.format_done({
+                "threads": [
+                    thread_to_dict(info) for info in self.tracker.get_threads()
+                ],
+            })
+        ]
+
+    def _cmd_data_evaluate_expression(self, command) -> List[str]:
+        name = command.args[0]
+        rendered = self._evaluate(command.options.get("frame"), name)
+        if rendered is None:
+            return [protocol.format_error(f"no variable {name!r} in scope")]
+        return [protocol.format_done({"value": rendered})]
+
+    def _evaluate(self, function: Optional[str], name: str) -> Optional[str]:
+        """Hook: a variable's rendered value (``function`` scopes it)."""
+        raise TrackerError("this server cannot evaluate expressions")
+
     def _cmd_tracker_stats(self, command) -> List[str]:
         return [protocol.format_done(self.engine.stats.to_dict())]
+
+    # ------------------------------------------------------------------
+    # Timeline recording: the hosted tracker's own recorder, server-side
+    # ------------------------------------------------------------------
+
+    def _cmd_timeline_start(self, command) -> List[str]:
+        interval = command.option_int("keyframe-interval")
+        self.tracker.enable_recording(
+            keyframe_interval=interval if interval is not None else 16,
+            max_snapshots=command.option_int("max-snapshots"),
+        )
+        return [protocol.format_done({"recording": True})]
+
+    def _cmd_timeline_stop(self, command) -> List[str]:
+        self.tracker.disable_recording()
+        return [protocol.format_done({"recording": False})]
+
+    def _cmd_timeline_length(self, command) -> List[str]:
+        timeline = self._require_timeline()
+        return [
+            protocol.format_done(
+                {
+                    "length": len(timeline),
+                    "start": timeline.start_index,
+                    "retained": timeline.retained,
+                }
+            )
+        ]
+
+    def _cmd_timeline_dump(self, command) -> List[str]:
+        return [protocol.format_done(self._require_timeline().to_dict())]
+
+    def _cmd_timeline_snapshot(self, command) -> List[str]:
+        if not command.args:
+            return [protocol.format_error("timeline-snapshot needs an index")]
+        timeline = self._require_timeline()
+        return [
+            protocol.format_done(
+                timeline.snapshot(int(command.args[0])).to_dict()
+            )
+        ]
+
+    def _cmd_timeline_drop_last(self, command) -> List[str]:
+        return [
+            protocol.format_done(
+                {"dropped": self._require_timeline().drop_last()}
+            )
+        ]
 
     def _cmd_timeline_query(self, command) -> List[str]:
         """Run a trace query (``x changed``, ``f() == v``, ``len(x) > n``)
         against the server-side timeline, so the recording never crosses
-        the pipe. Both concrete servers provide ``_require_timeline``.
+        the pipe.
         """
         from repro.core.tracestore import TimelineView
 
@@ -204,6 +423,12 @@ class ServerCore:
             self._query_view = view
         text = " ".join(command.args)
         return [protocol.format_done(view.query(text).to_dict())]
+
+    def _require_timeline(self):
+        timeline = self.tracker.timeline
+        if timeline is None:
+            raise TrackerError("no timeline; send -timeline-start first")
+        return timeline
 
 
 class LineChannel:

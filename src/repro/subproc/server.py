@@ -37,11 +37,10 @@ import sys
 import threading
 from typing import Any, Dict, List, Optional
 
-from repro.core.errors import ProgramLoadError, TrackerError
+from repro.core.errors import ProgramLoadError
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import Value, frame_to_dict, value_to_dict, variable_to_dict
 from repro.mi import protocol
-from repro.mi.servercore import REASON_NAMES, ServerCore, serve_stdio
+from repro.mi.servercore import ServerCore, serve_stdio
 from repro.pytracker.tracker import PythonTracker
 from repro.subproc.limits import ResourceLimits
 
@@ -52,19 +51,20 @@ from repro.subproc.limits import ResourceLimits
 #: flag set by a non-main-thread path — it can be generous.
 _INTERRUPT_POLL_INTERVAL = 0.5
 
-#: Fallback cadence for zero-arg pollers (injected by tests) that cannot
-#: sleep on our behalf.
-_LEGACY_POLL_INTERVAL = 0.05
+#: Flag-check cadence when no stdin poller is installed (unit-test use).
+_UNPOLLED_INTERVAL = 0.05
 
 
 class PythonDebugServer(ServerCore):
     """One debugging session over one Python inferior, MI on the outside.
 
     The hosted tracker is driven through its *public* API (``start``,
-    ``resume``, ``break_before_line``, ``watch``, ``enable_recording``...),
-    so in-process and out-of-process tracking cannot drift apart: the
-    pause decisions, watch semantics and timeline snapshots are literally
-    the same code.
+    ``resume``, ``break_before_line``, ``watch``, ``enable_recording``...)
+    by the shared :class:`ServerCore` handlers, so in-process and
+    out-of-process tracking cannot drift apart: the pause decisions, watch
+    semantics and timeline snapshots are literally the same code. This
+    class adds the Python substrate's own commands and runs each control
+    call under an interrupt watcher thread.
     """
 
     def __init__(
@@ -80,8 +80,9 @@ class PythonDebugServer(ServerCore):
         )
         if path is not None:
             self.tracker.load_program(path, list(args or []))
-        self.engine = self.tracker.engine
-        self._running = False
+        #: Set by SIGINT or a test; the watcher thread delivers it to the
+        #: tracker during the next control call.
+        self._interrupt_requested = False
         #: Characters of inferior output already emitted as stream records
         #: (an *absolute* position: survives ring-buffer eviction).
         self._emitted_output = 0
@@ -91,7 +92,7 @@ class PythonDebugServer(ServerCore):
         self.limits_applied = False
 
     def request_interrupt(self) -> None:
-        super().request_interrupt()
+        self._interrupt_requested = True
         # Also poke the tracker directly: safe from a signal handler (the
         # flag store plus frame re-arming are async-tolerant), and faster
         # than waiting for the watcher thread's next poll.
@@ -122,7 +123,6 @@ class PythonDebugServer(ServerCore):
         if self.path is not None:
             self.tracker.terminate()
             self.tracker = PythonTracker(capture_output=True)
-            self.engine = self.tracker.engine
             self.path = None
             self._running = False
             self._emitted_output = 0
@@ -131,41 +131,6 @@ class PythonDebugServer(ServerCore):
         self.tracker.load_program(command.args[0], list(command.args[1:]))
         self.path = command.args[0]
         return [protocol.format_done({"file": self.tracker._program_abspath})]
-
-    def _cmd_exec_run(self, command) -> List[str]:
-        if self.path is None:
-            return [protocol.format_error("no program loaded")]
-        if self._running:
-            return [protocol.format_error("the inferior is already running")]
-        self._running = True
-        return self._exec(self.tracker.start)
-
-    def _cmd_exec_continue(self, command) -> List[str]:
-        return self._guarded_exec(self.tracker.resume)
-
-    def _cmd_exec_step(self, command) -> List[str]:
-        return self._guarded_exec(self.tracker.step)
-
-    def _cmd_exec_next(self, command) -> List[str]:
-        return self._guarded_exec(self.tracker.next)
-
-    def _cmd_exec_finish(self, command) -> List[str]:
-        return self._guarded_exec(self.tracker.finish)
-
-    def _cmd_exec_interrupt(self, command) -> List[str]:
-        """A stale interrupt: the inferior stopped before it arrived.
-
-        The live case never reaches command dispatch — while a control
-        call is busy, ``-exec-interrupt`` is consumed by the stdin poller
-        (or delivered as SIGINT) and answered by the ``*stopped`` record
-        of the interrupted exec command. Emitting nothing keeps the stale
-        case from desynchronizing the client's request/reply pairing.
-        """
-        return []
-
-    def _cmd_gdb_exit(self, command) -> List[str]:
-        self.tracker.terminate()
-        return super()._cmd_gdb_exit(command)
 
     def _cmd_apply_limits(self, command) -> List[str]:
         """Lower this process's rlimits at session-bind time.
@@ -200,14 +165,7 @@ class PythonDebugServer(ServerCore):
             )
         ]
 
-    def _guarded_exec(self, control) -> List[str]:
-        if not self._running:
-            return [protocol.format_error("the inferior has not been started")]
-        if self.tracker.get_exit_code() is not None:
-            return [protocol.format_error("the inferior has exited")]
-        return self._exec(control)
-
-    def _exec(self, control) -> List[str]:
+    def _run(self, control) -> None:
         """Run one blocking control call under the interrupt watcher.
 
         The watcher gets a wake pipe (self-pipe idiom): when the control
@@ -235,10 +193,6 @@ class PythonDebugServer(ServerCore):
             watcher.join()
             os.close(wake_read)
             os.close(wake_write)
-        records = [protocol.format_running()]
-        records.extend(self._drain_output())
-        records.append(protocol.format_stopped(self._stop_payload()))
-        return records
 
     def _watch_for_interrupt(
         self, stop: threading.Event, wake_fd: int
@@ -248,35 +202,24 @@ class PythonDebugServer(ServerCore):
         With the stdio loop's poller installed, each check *sleeps* in
         ``select`` on stdin plus the wake pipe — zero CPU while the
         inferior runs, instant wake-up when an interrupt line arrives or
-        the run ends. A zero-arg poller (tests inject those) degrades to
-        the old fixed-cadence poll.
+        the run ends. Without one (unit-test use), the flag set by
+        :meth:`request_interrupt` is checked at a fixed cadence.
         """
         poll = self.interrupt_poll
-        sleeping = poll is not None
         while not stop.is_set():
             pending = self._interrupt_requested
             if poll is not None:
-                if sleeping:
-                    try:
-                        pending = (
-                            poll(
-                                timeout=_INTERRUPT_POLL_INTERVAL,
-                                wake_fd=wake_fd,
-                            )
-                            or pending
-                        )
-                    except TypeError:  # zero-arg poller: cannot sleep for us
-                        sleeping = False
-                if not sleeping:
-                    pending = poll() or pending
+                pending = poll(
+                    timeout=_INTERRUPT_POLL_INTERVAL, wake_fd=wake_fd
+                ) or pending
             if pending:
                 self._interrupt_requested = False
                 self.tracker._request_interrupt()
-            if not sleeping:
-                stop.wait(_LEGACY_POLL_INTERVAL)
+            if poll is None:
+                stop.wait(_UNPOLLED_INTERVAL)
 
     # ------------------------------------------------------------------
-    # Stop payloads and output streaming
+    # Output streaming and stop fields
     # ------------------------------------------------------------------
 
     def _drain_output(self) -> List[str]:
@@ -289,191 +232,26 @@ class PythonDebugServer(ServerCore):
         delta = text[start:]
         return [protocol.format_stream(delta)] if delta else []
 
-    def _stop_payload(self) -> Dict[str, Any]:
+    def _stop_fields(self, reason: PauseReason) -> Dict[str, Any]:
         tracker = self.tracker
-        exit_code = tracker.get_exit_code()
-        if exit_code is not None:
-            payload: Dict[str, Any] = {
-                "reason": "exited",
-                "exitcode": exit_code,
-            }
+        if reason.type is PauseReasonType.EXIT:
             error = tracker.get_inferior_exception()
-            if error is not None:
-                payload["error"] = f"{type(error).__name__}: {error}"
-            return payload
-        reason = tracker.pause_reason or PauseReason(
-            type=PauseReasonType.STEP, line=tracker.next_lineno
-        )
-        payload = {
-            "reason": REASON_NAMES.get(reason.type, "end-stepping-range"),
-            "line": reason.line if reason.line is not None else tracker.next_lineno,
-            "depth": tracker._current_depth(),
-        }
-        if reason.function is not None:
-            payload["func"] = reason.function
-        if reason.thread is not None:
-            payload["thread"] = reason.thread
-        if reason.thread_name:
-            payload["thread-name"] = reason.thread_name
-        if reason.type is PauseReasonType.DEADLOCK_SUSPECTED:
-            payload["deadlock"] = reason.details or {}
-        if reason.type is PauseReasonType.WATCH:
-            payload["var"] = reason.variable
-            payload["old"] = reason.old_value
-            payload["new"] = reason.new_value
-        if reason.type is PauseReasonType.RETURN:
-            value = reason.return_value
-            payload["retval"] = (
-                value_to_dict(value) if isinstance(value, Value) else value
-            )
-        return payload
+            if error is None:
+                return {}
+            return {"error": f"{type(error).__name__}: {error}"}
+        return {"depth": tracker._current_depth()}
 
     # ------------------------------------------------------------------
-    # Control points (over the tracker's public API)
+    # Inspection the Python substrate adds
     # ------------------------------------------------------------------
 
-    def _cmd_break_insert(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("break-insert needs a location")]
-        location = command.args[0]
-        maxdepth = command.option_int("maxdepth")
-        thread = command.option_int("thread")
-        if location.startswith("*"):
-            return [
-                protocol.format_error(
-                    "address breakpoints are not supported for Python "
-                    "inferiors"
-                )
-            ]
-        if ":" in location:
-            filename, _, line = location.rpartition(":")
-            point: Any = self.tracker.break_before_line(
-                int(line), filename=filename or None, maxdepth=maxdepth,
-                thread=thread,
-            )
-        elif location.isdigit():
-            point = self.tracker.break_before_line(
-                int(location), maxdepth=maxdepth, thread=thread
-            )
-        else:
-            point = self.tracker.break_before_func(
-                location, maxdepth=maxdepth, thread=thread
-            )
-        return [protocol.format_done({"number": self._register(point)})]
-
-    def _cmd_break_watch(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("break-watch needs a variable id")]
-        point = self.tracker.watch(
-            command.args[0], maxdepth=command.option_int("maxdepth")
+    def _evaluate(self, function: Optional[str], name: str) -> Optional[str]:
+        return self.tracker._render_watched(
+            self.tracker._paused_py_frame, function, name
         )
-        return [protocol.format_done({"number": self._register(point)})]
-
-    def _cmd_track_function(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("track-function needs a name")]
-        point = self.tracker.track_function(
-            command.args[0], maxdepth=command.option_int("maxdepth")
-        )
-        return [protocol.format_done({"number": self._register(point)})]
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-
-    def _cmd_stack_list_frames(self, command) -> List[str]:
-        return [
-            protocol.format_done(frame_to_dict(self.tracker.get_current_frame()))
-        ]
-
-    def _cmd_data_list_globals(self, command) -> List[str]:
-        payload = {
-            name: variable_to_dict(variable)
-            for name, variable in self.tracker.get_global_variables().items()
-        }
-        return [protocol.format_done(payload)]
-
-    def _cmd_inferior_position(self, command) -> List[str]:
-        filename, line = self.tracker.get_position()
-        return [protocol.format_done({"file": filename, "line": line})]
-
-    def _cmd_thread_info(self, command) -> List[str]:
-        from repro.core.threads import thread_to_dict
-
-        return [
-            protocol.format_done({
-                "threads": [
-                    thread_to_dict(info) for info in self.tracker.get_threads()
-                ],
-            })
-        ]
-
-    def _cmd_data_evaluate_expression(self, command) -> List[str]:
-        name = command.args[0]
-        frame_name = command.options.get("frame")
-        rendered = self.tracker._render_watched(
-            self.tracker._paused_py_frame, frame_name, name
-        )
-        if rendered is None:
-            return [protocol.format_error(f"no variable {name!r} in scope")]
-        return [protocol.format_done({"value": rendered})]
 
     def _cmd_list_functions(self, command) -> List[str]:
         return [protocol.format_done(_function_names(self.tracker._code))]
-
-    # ------------------------------------------------------------------
-    # Timeline recording: the tracker's own recorder, server-side
-    # ------------------------------------------------------------------
-
-    def _cmd_timeline_start(self, command) -> List[str]:
-        interval = command.option_int("keyframe-interval")
-        self.tracker.enable_recording(
-            keyframe_interval=interval if interval is not None else 16,
-            max_snapshots=command.option_int("max-snapshots"),
-        )
-        return [protocol.format_done({"recording": True})]
-
-    def _cmd_timeline_stop(self, command) -> List[str]:
-        self.tracker.disable_recording()
-        return [protocol.format_done({"recording": False})]
-
-    def _cmd_timeline_length(self, command) -> List[str]:
-        timeline = self._require_timeline()
-        return [
-            protocol.format_done(
-                {
-                    "length": len(timeline),
-                    "start": timeline.start_index,
-                    "retained": timeline.retained,
-                }
-            )
-        ]
-
-    def _cmd_timeline_dump(self, command) -> List[str]:
-        return [protocol.format_done(self._require_timeline().to_dict())]
-
-    def _cmd_timeline_snapshot(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("timeline-snapshot needs an index")]
-        timeline = self._require_timeline()
-        return [
-            protocol.format_done(
-                timeline.snapshot(int(command.args[0])).to_dict()
-            )
-        ]
-
-    def _cmd_timeline_drop_last(self, command) -> List[str]:
-        return [
-            protocol.format_done(
-                {"dropped": self._require_timeline().drop_last()}
-            )
-        ]
-
-    def _require_timeline(self):
-        timeline = self.tracker.timeline
-        if timeline is None:
-            raise TrackerError("no timeline; send -timeline-start first")
-        return timeline
 
 
 def _function_names(code, _names: Optional[List[str]] = None) -> List[str]:

@@ -8,7 +8,7 @@ reproducible:
 - :class:`FaultPlan` is a deterministic schedule — *which* pipe operation
   gets *which* fault: a server crash, a slowed response, a garbled MI
   line.
-- :class:`FaultyTransport` wraps the real :class:`~repro.mi.client.PipeTransport`
+- :class:`FaultyTransport` wraps the real :class:`~repro.mi.transport.PipeTransport`
   and executes the plan. Because :class:`~repro.mi.client.MIClient` takes a
   ``transport_factory``, the whole stack above the pipe (client, GDB
   tracker, DAP adapter) runs unmodified against injected faults.
@@ -61,7 +61,7 @@ from repro.core.supervision import (
     INFERIOR_INTERRUPTED,
     SupervisionEvent,
 )
-from repro.mi.client import PipeTransport, _default_transport_factory
+from repro.mi.transport import PipeTransport, default_transport_factory
 
 #: A mini-C inferior that never pauses on its own (for deadline tests).
 NEVER_PAUSING_C = """\
@@ -114,7 +114,7 @@ class FaultPlan:
 
 
 class FaultyTransport:
-    """A :class:`~repro.mi.client.PipeTransport` that executes a fault plan.
+    """A :class:`~repro.mi.transport.PipeTransport` that executes a fault plan.
 
     Liveness, teardown, and interrupt delegate to the wrapped transport;
     only ``send_line``/``recv_line`` consult the plan.
@@ -213,7 +213,7 @@ class FaultHarness:
         self, program: str, args: Optional[List[str]] = None
     ) -> Callable[[], FaultyTransport]:
         """A zero-arg factory for :class:`MIClient` / :class:`GDBTracker`."""
-        build_inner = _default_transport_factory(program, list(args or []))
+        build_inner = default_transport_factory(program, list(args or []))
 
         def build() -> FaultyTransport:
             return FaultyTransport(build_inner(), self.plan, self._note_injected)

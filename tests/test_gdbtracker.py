@@ -153,6 +153,23 @@ class TestCInspection:
         assert filename.endswith("prog.c")
         assert line == 9
 
+    def test_get_position_at_a_call_pause_is_the_callee_line(self, c_tracker):
+        # The hosted tracker reports the pause line, like the Python
+        # backend and the innermost frame, not the caller's last line.
+        c_tracker.track_function("square")
+        c_tracker.start()
+        c_tracker.resume()
+        assert c_tracker.pause_reason.type is PauseReasonType.CALL
+        assert c_tracker.get_position()[1] == 3
+        assert c_tracker.get_current_frame().line == 3
+
+    def test_get_threads_reports_the_main_thread(self, c_tracker):
+        c_tracker.break_before_func("square")
+        c_tracker.start()
+        c_tracker.resume()
+        (thread,) = c_tracker.get_threads()
+        assert (thread.id, thread.name, thread.function) == (0, "main", "square")
+
     def test_get_variable(self, c_tracker):
         c_tracker.break_before_func("square")
         c_tracker.start()

@@ -239,7 +239,7 @@ class TestRecording:
         tracker.disable_recording()
         tracker.step()
         assert len(tracker.timeline) == length
-        tracker.backward_step()  # history stays navigable
+        tracker.timeline_view().backward_step()  # history stays navigable
         tracker.terminate()
 
     def test_recorder_captures_source_and_stdout(self, recursion_program):
@@ -263,7 +263,7 @@ class TestReverseControl:
         tracker.load_program(recursion_program)
         tracker.start()
         with pytest.raises(TrackerError):
-            tracker.backward_step()
+            tracker.timeline_view().backward_step()
         tracker.terminate()
 
     def test_backward_step_rewinds_inspection(self, recursion_program):
@@ -274,11 +274,11 @@ class TestReverseControl:
             tracker.step()
         forward.append(tracker.snapshot())
         for expected in reversed(forward[:-1]):
-            tracker.backward_step()
+            tracker.timeline_view().backward_step()
             assert tracker.snapshot() == expected
             assert tracker.get_position()[1] == expected.line
         with pytest.raises(NotPausedError):
-            tracker.backward_step()
+            tracker.timeline_view().backward_step()
         tracker.terminate()
 
     def test_forward_through_history_then_live(self, recursion_program):
@@ -287,7 +287,7 @@ class TestReverseControl:
             tracker.step()
         live_line = tracker.get_position()[1]
         for _ in range(5):
-            tracker.backward_step()
+            tracker.timeline_view().backward_step()
         # Forward steps replay history without touching the inferior...
         for _ in range(5):
             tracker.step()
@@ -303,10 +303,10 @@ class TestReverseControl:
             tracker.step()
         here = tracker.snapshot()
         assert here.depth == 2
-        tracker.backward_finish()
+        tracker.timeline_view().backward_finish()
         assert tracker.snapshot().depth == 1
-        tracker.goto(-1)
-        tracker.backward_next()
+        tracker.timeline_view().goto(-1)
+        tracker.timeline_view().backward_next()
         assert tracker.snapshot().depth <= here.depth
         tracker.terminate()
 
@@ -319,7 +319,7 @@ class TestReverseControl:
         tracker.resume()  # breakpoint at depth 1
         tracker.resume()  # breakpoint at depth 2
         tracker.step()
-        tracker.backward_resume()
+        tracker.timeline_view().backward_resume()
         reason = tracker.pause_reason
         assert reason.type is PauseReasonType.BREAKPOINT
         assert tracker.get_position()[1] == 3
@@ -329,14 +329,14 @@ class TestReverseControl:
         tracker = _recorded_tracker(recursion_program)
         for _ in range(4):
             tracker.step()
-        landed = tracker.goto(2)
+        landed = tracker.timeline_view().goto(2)
         assert isinstance(landed, StateSnapshot)
         assert tracker.snapshot() == landed
         with pytest.raises(TrackerError):
-            tracker.goto(99)
+            tracker.timeline_view().goto(99)
         with pytest.raises(TrackerError):
-            tracker.goto(-99)
-        tracker.goto(-1)  # back to live
+            tracker.timeline_view().goto(-99)
+        tracker.timeline_view().goto(-1)  # back to live
         tracker.step()
         tracker.terminate()
 
@@ -344,9 +344,9 @@ class TestReverseControl:
         tracker = _recorded_tracker(recursion_program)
         _run_to_exit(tracker, move="step")
         assert tracker.get_output() == "0\n"
-        tracker.goto(0)
+        tracker.timeline_view().goto(0)
         assert tracker.get_output() == ""
-        tracker.goto(-1)
+        tracker.timeline_view().goto(-1)
         assert tracker.get_output() == "0\n"
         tracker.terminate()
 
@@ -360,7 +360,7 @@ class TestReverseControl:
         for _ in range(2):  # rewind fully, replay forward, rewind again
             rewound = []
             for _ in range(8):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
                 rewound.append(tracker.snapshot())
             assert rewound == forward[-2::-1]
             for _ in range(8):
@@ -411,19 +411,11 @@ class TestSnapshotUnification:
 
 
 # ---------------------------------------------------------------------------
-# Keyword-only timeout shim
+# Keyword-only control-call signature
 # ---------------------------------------------------------------------------
 
 
 class TestKeywordOnlyShim:
-    def test_positional_timeout_warns_but_works(self, recursion_program):
-        tracker = PythonTracker()
-        tracker.load_program(recursion_program)
-        tracker.start()
-        with pytest.warns(DeprecationWarning, match="timeout"):
-            tracker.step(5.0)
-        tracker.terminate()
-
     def test_keyword_timeout_is_silent(self, recursion_program):
         tracker = PythonTracker()
         tracker.load_program(recursion_program)

@@ -51,11 +51,16 @@ int main(void) {
 """
 
 
-def _record(tracker, path, keyframe_interval=16):
-    """Record every breakpoint pause at line 2 until exit; keep paused
-    trackers out: returns the tracker still alive, rewindable."""
-    tracker.load_program(path)
+def _break_at_line_2(tracker):
     tracker.break_before_line(2)
+
+
+def _record(tracker, path, keyframe_interval=16, install=_break_at_line_2):
+    """Record every pause at the control points ``install`` sets (by
+    default a breakpoint at line 2) until exit; returns the tracker still
+    alive, rewindable."""
+    tracker.load_program(path)
+    install(tracker)
     tracker.enable_recording(keyframe_interval=keyframe_interval)
     tracker.start()
     for _ in range(50):
@@ -181,10 +186,10 @@ def test_reverse_navigation_parity(tmp_path):
         rewound = {"python": [], "minic": []}
         for name, tracker in (("python", python), ("minic", minic)):
             for _ in range(tracker.timeline.retained - 1):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
                 rewound[name].append(_normalize(tracker.snapshot()))
             with pytest.raises(NotPausedError):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
         assert rewound["python"] == rewound["minic"]
     finally:
         python.terminate()
@@ -198,14 +203,14 @@ def test_goto_and_backward_resume_on_minic(tmp_path):
         timeline = tracker.timeline
         assert tracker.get_exit_code() is not None
         # Jump to the first breakpoint hit; inspection serves history.
-        landed = tracker.goto(timeline.start_index + 1)
+        landed = tracker.timeline_view().goto(timeline.start_index + 1)
         assert landed.reason.type is PauseReasonType.BREAKPOINT
         assert tracker.get_position()[1] == 2
         variable = tracker.get_variable("x") or tracker.get_variable("n")
         assert variable is not None
         # backward_resume from live lands on the last breakpoint hit.
-        tracker.goto(-1)
-        tracker.backward_resume()
+        tracker.timeline_view().goto(-1)
+        tracker.timeline_view().backward_resume()
         assert tracker.snapshot().reason.type is PauseReasonType.BREAKPOINT
         assert tracker.snapshot().depth == 4
     finally:
@@ -233,10 +238,10 @@ def test_reverse_navigation_parity_on_subproc(tmp_path):
         rewound = {"python": [], "subproc": []}
         for name, tracker in (("python", python), ("subproc", subproc)):
             for _ in range(tracker.timeline.retained - 1):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
                 rewound[name].append(_normalize(tracker.snapshot()))
             with pytest.raises(NotPausedError):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
         assert rewound["python"] == rewound["subproc"]
     finally:
         python.terminate()
@@ -249,13 +254,13 @@ def test_goto_and_backward_resume_on_subproc(tmp_path):
     try:
         timeline = tracker.timeline
         assert tracker.get_exit_code() is not None
-        landed = tracker.goto(timeline.start_index + 1)
+        landed = tracker.timeline_view().goto(timeline.start_index + 1)
         assert landed.reason.type is PauseReasonType.BREAKPOINT
         assert tracker.get_position()[1] == 2
         variable = tracker.get_variable("x") or tracker.get_variable("n")
         assert variable is not None
-        tracker.goto(-1)
-        tracker.backward_resume()
+        tracker.timeline_view().goto(-1)
+        tracker.timeline_view().backward_resume()
         assert tracker.snapshot().reason.type is PauseReasonType.BREAKPOINT
         assert tracker.snapshot().depth == 4
     finally:
@@ -318,10 +323,10 @@ def test_reverse_navigation_parity_on_monitoring(tmp_path):
         rewound = {"python": [], "mon": []}
         for name, tracker in (("python", python), ("mon", mon)):
             for _ in range(tracker.timeline.retained - 1):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
                 rewound[name].append(_normalize(tracker.snapshot()))
             with pytest.raises(NotPausedError):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
         assert rewound["python"] == rewound["mon"]
     finally:
         python.terminate()
@@ -334,6 +339,52 @@ _RECORDERS = {
     "subproc": _record_subproc,
     "mon": _record_mon,
 }
+
+
+_FUNCTION_POINTS = {
+    "break_before_func": lambda tracker: tracker.break_before_func("rec"),
+    "track_function": lambda tracker: tracker.track_function("rec"),
+}
+
+
+def _pause_projection(snapshot: StateSnapshot):
+    """What every backend must record alike at one pause: the event kind,
+    reason type, depth and function — and, at the exit, the line. The
+    entry pause is collapsed as in :func:`_normalize`."""
+    if snapshot.frame is None:
+        return ("exit", snapshot.line)
+    if snapshot.depth == 0 and (
+        snapshot.reason is None
+        or snapshot.reason.type is PauseReasonType.STEP
+    ):
+        return ("entry",)
+    return (
+        snapshot.event,
+        snapshot.reason.type.value,
+        snapshot.depth,
+        snapshot.func_name,
+    )
+
+
+@pytest.mark.parametrize("points", sorted(_FUNCTION_POINTS))
+def test_function_control_points_record_alike(points, tmp_path):
+    """Function breakpoints and tracked functions record the same pauses
+    on ``python``, ``python-subproc`` and ``GDB``: both MI servers record
+    through their hosted tracker's own recorder, like the in-process
+    backend."""
+    recorded = {}
+    for name in ("python", "subproc", "minic"):
+        tracker = _RECORDERS[name](tmp_path, install=_FUNCTION_POINTS[points])
+        try:
+            recorded[name] = [
+                _pause_projection(snapshot)
+                for snapshot in tracker.timeline.snapshots()
+            ]
+        finally:
+            tracker.terminate()
+    assert recorded["python"][-1] == ("exit", None)
+    assert recorded["subproc"] == recorded["python"]
+    assert recorded["minic"] == recorded["python"]
 
 
 @pytest.mark.parametrize("recorder", sorted(_RECORDERS))
@@ -358,8 +409,8 @@ def test_replay_tracker_replays_either_backend(recorder, tmp_path):
             reason = replay.pause_reason
             hits.append((reason.type.value, replay.get_position()[1]))
     assert hits == [("breakpoint", 2)] * 4
-    replay.backward_step()
+    replay.timeline_view().backward_step()
     assert replay.get_exit_code() is None
-    replay.goto(replay.timeline.start_index)
+    replay.timeline_view().goto(replay.timeline.start_index)
     assert replay.step_index == replay.timeline.start_index
     replay.terminate()

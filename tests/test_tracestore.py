@@ -31,7 +31,6 @@ from repro.core.tracestore import (
     TraceIndex,
     TraceStore,
     changed_variable_ids,
-    open_spooled_timeline,
 )
 from repro.pytracker import PythonTracker
 
@@ -472,24 +471,19 @@ class TestQueryGrammar:
 
 
 # ---------------------------------------------------------------------------
-# Navigation re-homing: deprecation shims over the view
+# Navigation lives on the view
 # ---------------------------------------------------------------------------
 
 
-class TestDeprecatedNavigation:
-    def test_tracker_goto_and_backward_warn_but_work(self, program):
+class TestViewNavigation:
+    def test_tracker_has_no_navigation_shims(self, program):
         tracker = _record(program, keyframe_interval=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tracker.goto(2)
-            tracker.backward_step()
-        messages = [str(warning.message) for warning in caught]
-        assert any("timeline_view" in message for message in messages)
-        assert len([
-            warning
-            for warning in caught
-            if issubclass(warning.category, DeprecationWarning)
-        ]) == 2
+        for name in ("goto", "backward_step", "backward_next",
+                     "backward_finish", "backward_resume"):
+            assert not hasattr(tracker, name)
+        view = tracker.timeline_view()
+        view.goto(2)
+        view.backward_step()
         assert tracker._timeline_position() == 1
         tracker.terminate()
 
