@@ -34,7 +34,8 @@ from repro.core.errors import TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
 from repro.core.supervision import BackoffPolicy
 from repro.core.tracker import TrackedFunction
-from repro.mi.remote import MIRemoteTracker, point_options
+from repro.mi import protocol
+from repro.mi.remote import MIRemoteTracker
 
 
 class GDBTracker(MIRemoteTracker):
@@ -105,15 +106,12 @@ class GDBTracker(MIRemoteTracker):
                 f"no return instruction found in {function!r}; "
                 "cannot track its exit"
             )
-        entry = self._client.execute(
-            "-break-insert", [function], point_options(point)
-        )
+        _, _, options = protocol.point_command(point)
+        entry = self._client.execute("-break-insert", [function], options)
         self._ret_scan_points[entry["number"]] = (PauseReasonType.CALL, function)
         for site in returns:
             planted = self._client.execute(
-                "-break-insert",
-                [f"*{site['address']:#x}"],
-                point_options(point),
+                "-break-insert", [f"*{site['address']:#x}"], options
             )
             self._ret_scan_points[planted["number"]] = (
                 PauseReasonType.RETURN, function

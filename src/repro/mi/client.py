@@ -35,11 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.errors import (
-    ControlTimeout,
-    ProtocolError,
-    TrackerError,
-)
+from repro.core.errors import TrackerError
 from repro.core.supervision import Deadline
 from repro.mi import protocol
 from repro.mi.transport import (  # PipeTransport re-exported: historic home
@@ -86,15 +82,16 @@ class MIClient:
 
     def _spawn(self) -> None:
         self._transport = self._transport_factory()
-        greeting = self._read_record(Deadline(SPAWN_TIMEOUT))
-        if greeting.kind == "error":
-            self.close()
-            raise TrackerError(
-                f"debug server refused {self.program!r}: {greeting.payload}"
+        try:  # the greeting is the reply to the spawn itself
+            self._read_reply(
+                protocol.ReplyReader("greeting", Deadline(SPAWN_TIMEOUT)),
+                lambda message: TrackerError(
+                    f"debug server refused {self.program!r}: {message}"
+                ),
             )
-        if greeting.kind != "done":
+        except BaseException:
             self.close()
-            raise ProtocolError(f"unexpected greeting record: {greeting}")
+            raise
 
     def restart(self) -> None:
         """Kill whatever is left of the server and spawn a fresh one.
@@ -123,36 +120,6 @@ class MIClient:
         return counter() if callable(counter) else 0
 
     # ------------------------------------------------------------------
-    # Record plumbing
-    # ------------------------------------------------------------------
-
-    def _read_record(
-        self, deadline: Optional[Deadline] = None
-    ) -> protocol.Record:
-        """Read one record; honor ``deadline`` without interrupting."""
-        while True:
-            timeout = None
-            if deadline is not None:
-                timeout = deadline.grace_remaining()
-                if timeout <= 0:
-                    raise ControlTimeout(
-                        "the debug server did not answer within "
-                        f"{deadline.timeout + deadline.grace:.2f}s"
-                    )
-            line = self._transport.recv_line(timeout=timeout)
-            if line is None:
-                continue  # timed out this slice; recheck the deadline
-            return protocol.parse_record(line)
-
-    def _write_command(
-        self,
-        name: str,
-        args: Optional[List[str]] = None,
-        options: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self._transport.send_line(protocol.format_command(name, args, options))
-
-    # ------------------------------------------------------------------
     # Command API
     # ------------------------------------------------------------------
 
@@ -163,94 +130,50 @@ class MIClient:
         options: Optional[Dict[str, Any]] = None,
         deadline: Optional[Deadline] = None,
     ) -> Any:
-        """Run a synchronous command; return the ``^done`` payload.
+        """Run one command; return its ``^done`` payload.
+
+        An exec command (:data:`protocol.EXEC_COMMANDS`, conventionally
+        sent as :meth:`run_control`) returns its ``*stopped`` payload: it
+        blocks until the inferior is paused or terminated, exactly the
+        synchronous contract of the tracker control interface. With a
+        ``deadline``, expiry first *interrupts* the inferior (the server
+        answers with a ``*stopped,reason="interrupted"`` record, so the
+        contract still holds).
 
         Raises:
             TrackerError: on a ``^error`` reply.
             ServerCrashError: the server died mid-command (recoverable by
                 the supervision layer).
-            ControlTimeout: the deadline expired with no reply.
+            ControlTimeout: the deadline expired with no reply (for an
+                exec command: the interrupt also went unanswered for the
+                grace period).
         """
-        self._write_command(name, args, options)
-        while True:
-            record = self._read_record(deadline)
-            if record.kind == "stream":
-                self.console.append(record.payload)
-            elif record.kind == "notify":
-                self.notifications.append(record)
-            elif record.kind == "done":
-                return record.payload
-            elif record.kind == "error":
-                raise TrackerError(str(record.payload))
-            else:
-                raise ProtocolError(f"unexpected record {record.kind} for {name}")
+        self._transport.send_line(protocol.format_command(name, args, options))
+        return self._read_reply(protocol.ReplyReader(name, deadline))
 
-    def run_control(
+    #: Run an exec command and block until ``*stopped``; the same call as
+    #: :meth:`execute`, whose reply rule tells the two apart by name.
+    run_control = execute
+
+    def _read_reply(
         self,
-        name: str,
-        args: Optional[List[str]] = None,
-        options: Optional[Dict[str, Any]] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Dict[str, Any]:
-        """Run an exec command; block until ``*stopped``; return its payload.
-
-        This blocking read is exactly the synchronous contract of the
-        tracker control interface: the call returns only when the inferior
-        is paused or terminated. With a ``deadline``, expiry first
-        *interrupts* the inferior (the server answers with a
-        ``*stopped,reason="interrupted"`` record, so the contract still
-        holds); ``ControlTimeout`` is raised only when the interrupt also
-        goes unanswered for the grace period.
-        """
-        self._write_command(name, args, options)
-        # The server's handle() is pure: it buffers all records (the
-        # ^running included) until the advance loop stops, so even this
-        # first read must be able to interrupt a busy inferior.
-        record = self._read_running_record(deadline)
-        if record.kind == "error":
-            raise TrackerError(str(record.payload))
-        if record.kind != "running":
-            raise ProtocolError(f"expected ^running, got {record.kind}")
+        reader: protocol.ReplyReader,
+        error: Callable[[Any], Exception] = TrackerError,
+    ) -> Any:
+        """Drive ``reader`` over the transport until the reply has ended."""
         while True:
-            record = self._read_running_record(deadline)
+            if reader.interrupt_due():
+                self._transport.interrupt()
+            line = self._transport.recv_line(timeout=reader.timeout())
+            if line is None:
+                continue  # this wait ran out; the reader decides what next
+            record = protocol.parse_record(line)
+            if reader.feed(record):
+                return reader.result(error)
             if record.kind == "stream":
                 self.console.append(record.payload)
             elif record.kind == "notify":
                 self.notifications.append(record)
-            elif record.kind == "stopped":
-                return record.payload
-            elif record.kind == "done":
-                # A stale interrupt the server acknowledged after stopping
-                # on its own; nothing to do.
-                continue
-            else:
-                raise ProtocolError(f"unexpected record {record.kind} while running")
-
-    def _read_running_record(
-        self, deadline: Optional[Deadline]
-    ) -> protocol.Record:
-        """Read one record while the inferior runs; interrupt on expiry."""
-        while True:
-            timeout = None
-            if deadline is not None:
-                if not deadline.interrupt_requested:
-                    remaining = deadline.remaining()
-                    if remaining > 0:
-                        timeout = remaining
-                    else:
-                        deadline.interrupt_requested = True
-                        self._transport.interrupt()
-                if deadline.interrupt_requested:
-                    timeout = deadline.grace_remaining()
-                    if timeout <= 0:
-                        raise ControlTimeout(
-                            "the inferior did not pause within "
-                            f"{deadline.timeout}s and the interrupt went "
-                            "unanswered for the grace period"
-                        )
-            line = self._transport.recv_line(timeout=timeout)
-            if line is not None:
-                return protocol.parse_record(line)
 
     # ------------------------------------------------------------------
     # Teardown

@@ -26,6 +26,13 @@ because the id is pure prefix and the grammar after it is identical. Ids
 are limited to ``[A-Za-z0-9_.]``, and a prefix is only recognized when
 followed by a record marker (``^ * ~ =``) or a two-word MI command name,
 so the boundary with the command's own leading ``-`` is unambiguous.
+
+The client half of the wire lives here once, for the blocking
+(:class:`~repro.mi.client.MIClient`) and the asyncio clients alike:
+:class:`ReplyReader`, the one rule for when a command's reply has ended
+(with the two-phase deadline wait), and the command table that maps each
+control point to its MI command (:func:`point_command`) and each
+inspection to its command and reply decoder (:data:`INSPECTIONS`).
 """
 
 from __future__ import annotations
@@ -34,11 +41,24 @@ import json
 import re
 import shlex
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.errors import ProtocolError
+from repro.core.errors import ControlTimeout, ProtocolError, TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import Value, value_from_dict, value_to_dict
+from repro.core.state import (
+    Value,
+    frame_from_dict,
+    value_from_dict,
+    value_to_dict,
+    variable_from_dict,
+)
+from repro.core.supervision import Deadline
+from repro.core.tracker import (
+    FunctionBreakpoint,
+    LineBreakpoint,
+    TrackedFunction,
+    Watchpoint,
+)
 
 #: A session id glued to the start of a command or record line. The
 #: lookahead requires the marker that follows: a record marker
@@ -343,3 +363,141 @@ def parse_record(line: str) -> Record:
             f"garbled MI record: {line!r} ({error})"
         ) from error
     raise ProtocolError(f"unparsable MI record: {line!r}")
+
+
+# ---------------------------------------------------------------------------
+# The client half: one reply rule, one deadline wait, one command table
+# ---------------------------------------------------------------------------
+
+#: MI commands whose reply is a run-control dialogue (``^running``, the
+#: run's output, then ``*stopped``) rather than a single ``^done``.
+EXEC_COMMANDS = frozenset(
+    ["-exec-run", "-exec-continue", "-exec-step", "-exec-next", "-exec-finish"]
+)
+
+
+class ReplyReader:
+    """The one rule for when a command's reply has ended (sans-IO).
+
+    A client loop receives records however it does and feeds in those
+    that follow one command; :meth:`feed` returns ``True`` on the last.
+    A plain command ends at ``^done``/``^error``. An exec command
+    (:data:`EXEC_COMMANDS`) ends at ``*stopped``/``^error``, and a
+    ``^done`` during it is a stale interrupt ack. Other records never end
+    a reply; ``~stream``/``=notify`` ones are the caller's to absorb.
+
+    With a :class:`Deadline` it is also the two-phase wait: an exec
+    command is interrupted once ``deadline.timeout`` passes
+    (:meth:`interrupt_due`) and then gets ``deadline.grace`` to stop; a
+    plain command gets both phases to answer. After that, :meth:`timeout`
+    raises :class:`ControlTimeout`.
+    """
+
+    def __init__(self, name: str, deadline: Optional[Deadline] = None):
+        self.name = name
+        self.deadline = deadline
+        self.exec = name in EXEC_COMMANDS
+        #: the record that ended the reply, once one has
+        self.end: Optional[Record] = None
+
+    def feed(self, record: Record) -> bool:
+        """Take the next record; whether it ended the reply."""
+        if record.kind in ("error", "stopped" if self.exec else "done"):
+            self.end = record
+            return True
+        return False
+
+    def result(self, error: Callable[[Any], Exception] = TrackerError) -> Any:
+        """The ended reply's payload (a ``*stopped`` one is always a dict);
+        an ``^error`` raises ``error(message)``."""
+        if self.end.kind == "error":
+            raise error(self.end.payload)
+        return (self.end.payload or {}) if self.exec else self.end.payload
+
+    def interrupt_due(self) -> bool:
+        """Whether to interrupt the inferior now (true once, at expiry)."""
+        deadline = self.deadline
+        if (
+            deadline is None
+            or not self.exec
+            or deadline.interrupt_requested
+            or deadline.remaining() > 0
+        ):
+            return False
+        deadline.interrupt_requested = True
+        return True
+
+    def timeout(self) -> Optional[float]:
+        """How long the next receive may block (``None``: no deadline)."""
+        deadline = self.deadline
+        if deadline is None:
+            return None
+        if self.exec and not deadline.interrupt_requested:
+            return max(deadline.remaining(), 0.001)
+        left = deadline.grace_remaining()
+        if left > 0:
+            return left
+        if self.exec:
+            raise ControlTimeout(
+                f"the inferior did not pause within {deadline.timeout}s "
+                "and the interrupt went unanswered for the grace period"
+            )
+        raise ControlTimeout(
+            f"{self.name} went unanswered for "
+            f"{deadline.timeout + deadline.grace:.2f}s"
+        )
+
+
+#: The command table, control points: point type -> the MI command that
+#: installs it and that command's one positional argument.
+_POINT_COMMANDS: Dict[type, Tuple[str, Callable[[Any], str]]] = {
+    LineBreakpoint: (
+        "-break-insert",
+        lambda point: f"{point.filename}:{point.line}"
+        if point.filename
+        else str(point.line),
+    ),
+    FunctionBreakpoint: ("-break-insert", lambda point: point.function),
+    Watchpoint: ("-break-watch", lambda point: point.variable_id),
+    TrackedFunction: ("-track-function", lambda point: point.function),
+}
+
+
+def point_command(
+    point: Any,
+) -> Tuple[str, List[str], Optional[Dict[str, int]]]:
+    """The MI name, args and ``--maxdepth``/``--thread`` options that
+    install the control point ``point``."""
+    name, argument = _POINT_COMMANDS[type(point)]
+    options = {
+        key: getattr(point, key)
+        for key in ("maxdepth", "thread")
+        if getattr(point, key) is not None
+    }
+    return name, [argument(point)], options or None
+
+
+def limit_options(limits: Any) -> Dict[str, int]:
+    """The ``--as``/``--cpu``/``--fsize`` options that carry a
+    :class:`~repro.subproc.limits.ResourceLimits` on ``-apply-limits``
+    and ``-session-open``."""
+    fields = (("as", limits.address_space), ("cpu", limits.cpu_seconds),
+              ("fsize", limits.file_size))
+    return {key: value for key, value in fields if value is not None}
+
+
+#: The command table, inspection: tracker method -> the MI command that
+#: answers it and the decoder of its ``^done`` payload.
+INSPECTIONS: Dict[str, Tuple[str, Callable[[Any], Any]]] = {
+    "get_position": (
+        "-inferior-position",
+        lambda payload: (payload["file"], payload["line"]),
+    ),
+    "get_current_frame": ("-stack-list-frames", frame_from_dict),
+    "get_global_variables": (
+        "-data-list-globals",
+        lambda payload: {
+            name: variable_from_dict(data) for name, data in payload.items()
+        },
+    ),
+}

@@ -24,12 +24,7 @@ from repro.core.errors import (
     TrackerError,
 )
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import (
-    Frame,
-    Variable,
-    frame_from_dict,
-    variable_from_dict,
-)
+from repro.core.state import Frame, Variable
 from repro.core.supervision import (
     BACKEND_RESTARTED,
     BACKEND_UNAVAILABLE,
@@ -40,13 +35,7 @@ from repro.core.supervision import (
     run_with_recovery,
 )
 from repro.core.timeline import Timeline
-from repro.core.tracker import (
-    FunctionBreakpoint,
-    LineBreakpoint,
-    TrackedFunction,
-    Tracker,
-    Watchpoint,
-)
+from repro.core.tracker import TrackedFunction, Tracker
 from repro.mi import protocol
 from repro.mi.client import MIClient
 
@@ -103,9 +92,7 @@ class MIRemoteTracker(Tracker):
 
     def _install_tracked(self, point: TrackedFunction) -> None:
         """Install one tracked function on the server."""
-        self._client.execute(
-            "-track-function", [point.function], point_options(point)
-        )
+        self._client.execute(*protocol.point_command(point))
 
     def _map_breakpoint_pause(
         self, payload: Dict[str, Any], line: Optional[int]
@@ -302,31 +289,10 @@ class MIRemoteTracker(Tracker):
         if self._client is None:
             return
         for point in self.engine.take_unsynced():
-            if isinstance(point, LineBreakpoint):
-                location = (
-                    f"{point.filename}:{point.line}"
-                    if point.filename
-                    else str(point.line)
-                )
-                self._client.execute(
-                    "-break-insert",
-                    [location],
-                    point_options(point),
-                )
-            elif isinstance(point, FunctionBreakpoint):
-                self._client.execute(
-                    "-break-insert",
-                    [point.function],
-                    point_options(point),
-                )
-            elif isinstance(point, Watchpoint):
-                self._client.execute(
-                    "-break-watch",
-                    [point.variable_id],
-                    point_options(point),
-                )
-            elif isinstance(point, TrackedFunction):
+            if isinstance(point, TrackedFunction):
                 self._install_tracked(point)
+            else:
+                self._client.execute(*protocol.point_command(point))
 
     # ------------------------------------------------------------------
     # Stopped-payload ingestion
@@ -354,18 +320,18 @@ class MIRemoteTracker(Tracker):
     # Inspection
     # ------------------------------------------------------------------
 
+    def _inspect(self, method: str) -> Any:
+        command, decode = protocol.INSPECTIONS[method]
+        return decode(self._execute(command))
+
     def _get_current_frame(self) -> Frame:
-        return frame_from_dict(self._execute("-stack-list-frames"))
+        return self._inspect("get_current_frame")
 
     def _get_global_variables(self) -> Dict[str, Variable]:
-        payload = self._execute("-data-list-globals")
-        return {
-            name: variable_from_dict(data) for name, data in payload.items()
-        }
+        return self._inspect("get_global_variables")
 
     def _get_position(self) -> Tuple[str, Optional[int]]:
-        payload = self._execute("-inferior-position")
-        return payload["file"], payload["line"]
+        return self._inspect("get_position")
 
     def get_threads(self):
         """The server-side inferior's threads (``-thread-info``)."""
@@ -499,13 +465,3 @@ class MIRemoteTracker(Tracker):
             self._timeline_dirty = True
             return
         super()._after_control(record)
-
-
-def point_options(point: Any) -> Optional[Dict[str, int]]:
-    """MI options for a control point: ``--maxdepth`` and ``--thread``."""
-    options: Dict[str, int] = {}
-    if getattr(point, "maxdepth", None) is not None:
-        options["maxdepth"] = point.maxdepth
-    if getattr(point, "thread", None) is not None:
-        options["thread"] = point.thread
-    return options or None

@@ -13,14 +13,6 @@ concurrently from one thread::
     b = await client.open_tracker("submission_b.py")
     await asyncio.gather(a.start(), b.start())
 
-Deadline semantics mirror the blocking client
-(:class:`~repro.mi.client.MIClient`): a run-control call with a
-``timeout`` first *interrupts* the inferior when the deadline passes (the
-service answers with ``*stopped,reason="interrupted"``, so the call still
-returns a pause) and raises
-:class:`~repro.core.errors.ControlTimeout` only when the interrupt itself
-goes unanswered for the grace period.
-
 **Reconnection.** A dropped TCP connection no longer kills the trackers
 riding on it: the client reconnects with bounded backoff (``reconnect``
 policy), re-authenticates, and re-attaches every open session via
@@ -52,8 +44,14 @@ from repro.core.errors import (
     ServerCrashError,
     TrackerError,
 )
-from repro.core.state import Frame, Variable, frame_from_dict, variable_from_dict
-from repro.core.supervision import BackoffPolicy
+from repro.core.state import Frame, Variable
+from repro.core.supervision import BackoffPolicy, Deadline
+from repro.core.tracker import (
+    FunctionBreakpoint,
+    LineBreakpoint,
+    TrackedFunction,
+    Watchpoint,
+)
 from repro.mi import protocol
 from repro.mi.transport import _ASYNC_LINE_LIMIT, SPAWN_TIMEOUT
 from repro.service.manager import (
@@ -94,6 +92,23 @@ def _client_ssl_context(tls_ca: Optional[str]) -> Any:
         context.check_hostname = False
         return context
     return ssl.create_default_context()
+
+
+def _deadline(timeout: Optional[float], grace: float) -> Optional[Deadline]:
+    """A :class:`Deadline` of ``timeout`` whose second phase is ``grace``."""
+    if timeout is None:
+        return None
+    deadline = Deadline(timeout)
+    deadline.grace = grace
+    return deadline
+
+
+def _connection_lost(how: str) -> ServerCrashError:
+    return ServerCrashError(
+        f"the tracker service connection {how}",
+        exit_code=None,
+        stderr_tail=[],
+    )
 
 
 def _typed_error(payload: Any) -> TrackerError:
@@ -192,7 +207,7 @@ class ServiceClient:
             self._host, self._port, limit=_ASYNC_LINE_LIMIT, ssl=self._ssl
         )
         try:
-            greeting = await self._read_direct(reader, SPAWN_TIMEOUT)
+            greeting = await self._direct_reply(reader, "greeting")
             if greeting.kind != "done" or "service" not in (
                 greeting.payload or {}
             ):
@@ -200,16 +215,9 @@ class ServiceClient:
                     f"unexpected service greeting: {greeting.payload!r}"
                 )
             if self._token is not None:
-                writer.write(
-                    (
-                        protocol.format_command(
-                            "-service-auth", [self._token]
-                        )
-                        + "\n"
-                    ).encode("utf-8")
+                reply = await self._direct_reply(
+                    reader, "-service-auth", writer, [self._token]
                 )
-                await writer.drain()
-                reply = await self._read_direct(reader, SPAWN_TIMEOUT)
                 if reply.kind == "error":
                     raise ServiceAuthError(str(reply.payload))
         except BaseException:
@@ -219,32 +227,47 @@ class ServiceClient:
         self._writer = writer
         self.connections += 1
 
-    @staticmethod
-    async def _read_direct(
-        reader: asyncio.StreamReader, timeout: float
+    async def _direct_reply(
+        self,
+        reader: asyncio.StreamReader,
+        name: str,
+        writer: Optional[asyncio.StreamWriter] = None,
+        args: Optional[List[str]] = None,
     ) -> protocol.Record:
-        """One parsed record straight off ``reader`` (no demux running)."""
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + timeout
+        """The id-less reply to ``name`` (sent first when a ``writer`` is
+        given), read straight off ``reader`` while the pump is not
+        running; session records read on the way are demuxed."""
+        if writer is not None:
+            writer.write(
+                (protocol.format_command(name, args) + "\n").encode("utf-8")
+            )
+            await writer.drain()
+        reply = protocol.ReplyReader(name)
         while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise asyncio.TimeoutError("service setup went unanswered")
-            raw = await asyncio.wait_for(reader.readline(), remaining)
+            record = await asyncio.wait_for(
+                self._read_record(reader), SPAWN_TIMEOUT
+            )
+            if record is None:
+                raise _connection_lost("closed during setup")
+            if record.session is None and reply.feed(record):
+                return record
+            self._demux(record)
+
+    @staticmethod
+    async def _read_record(
+        reader: asyncio.StreamReader,
+    ) -> Optional[protocol.Record]:
+        """The next record off ``reader``; ``None`` at end of stream."""
+        while True:
+            raw = await reader.readline()
             if not raw:
-                raise ServerCrashError(
-                    "the tracker service closed the connection during "
-                    "setup",
-                    exit_code=None,
-                    stderr_tail=[],
-                )
-            line = raw.decode("utf-8", "replace").strip()
-            if not line:
-                continue
+                return None
             try:
-                return protocol.parse_record(line)
+                return protocol.parse_record(
+                    raw.decode("utf-8", "replace").strip()
+                )
             except ProtocolError:
-                continue
+                continue  # blank lines and noise on the shared pipe
 
     async def _run(self) -> None:
         """The supervisor: pump records, reconnect on drop, finalize."""
@@ -267,19 +290,11 @@ class ServiceClient:
         self._finalize()
 
     async def _read_loop(self) -> None:
-        reader = self._reader
         try:
             while True:
-                raw = await reader.readline()
-                if not raw:
+                record = await self._read_record(self._reader)
+                if record is None:
                     break
-                line = raw.decode("utf-8", "replace").rstrip("\n")
-                if not line.strip():
-                    continue
-                try:
-                    record = protocol.parse_record(line)
-                except ProtocolError:
-                    continue  # tolerate noise on the shared pipe
                 self._demux(record)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
@@ -287,8 +302,10 @@ class ServiceClient:
     def _demux(self, record: protocol.Record) -> None:
         if record.session is None:
             self._control.put_nowait(record)
-        else:
-            self._queue_for(record.session).put_nowait(record)
+            return
+        queue = self._queues.get(record.session)
+        if queue is not None:  # a closed session's late record is dropped
+            queue.put_nowait(record)
 
     async def _reconnect(self) -> bool:
         """Bounded-backoff reconnect + re-attach; whether it succeeded."""
@@ -328,23 +345,9 @@ class ServiceClient:
             tracker = self._trackers.get(sid)
             if tracker is None or tracker._closed:
                 continue
-            self._writer.write(
-                (
-                    protocol.format_command("-session-attach", [sid])
-                    + "\n"
-                ).encode("utf-8")
+            record = await self._direct_reply(
+                self._reader, "-session-attach", self._writer, [sid]
             )
-            await self._writer.drain()
-            while True:
-                record = await self._read_direct(
-                    self._reader, SPAWN_TIMEOUT
-                )
-                if record.session is None and record.kind in (
-                    "done",
-                    "error",
-                ):
-                    break
-                self._demux(record)
             if record.kind == "error":
                 message = str(record.payload)
                 if "another connection" in message:
@@ -354,10 +357,9 @@ class ServiceClient:
                 # The session is gone (reaped, drained, or closed):
                 # fail its waiters, keep the rest of the reconnect.
                 self._trackers.pop(sid, None)
-                self._queue_for(sid).put_nowait(_CLOSED)
+                self._queues[sid].put_nowait(_CLOSED)
                 continue
-            payload = record.payload or {}
-            tracker._note_attach(payload)
+            tracker._note_attach(record.payload or {})
 
     def _finalize(self) -> None:
         self._closed = True
@@ -370,30 +372,17 @@ class ServiceClient:
     # Demux plumbing
     # ------------------------------------------------------------------
 
-    def _queue_for(self, session_id: str) -> "asyncio.Queue":
-        queue = self._queues.get(session_id)
-        if queue is None:
-            queue = self._queues[session_id] = asyncio.Queue()
-        return queue
-
     async def _next(
         self, queue: "asyncio.Queue", timeout: Optional[float]
     ) -> Optional[protocol.Record]:
         """Next record from ``queue``; ``None`` when ``timeout`` expires."""
         try:
-            if timeout is None:
-                record = await queue.get()
-            else:
-                record = await asyncio.wait_for(queue.get(), timeout)
+            record = await asyncio.wait_for(queue.get(), timeout)
         except asyncio.TimeoutError:
             return None
         if record is _CLOSED:
             queue.put_nowait(_CLOSED)  # keep later reads failing fast
-            raise ServerCrashError(
-                "the tracker service connection closed",
-                exit_code=None,
-                stderr_tail=[],
-            )
+            raise _connection_lost("closed")
         return record
 
     # ------------------------------------------------------------------
@@ -404,46 +393,32 @@ class ServiceClient:
         if not self._ready.is_set() and not self._closed:
             await self._ready.wait()  # park while a reconnect is running
         if self._closed or self._writer is None:
-            raise ServerCrashError(
-                "the tracker service connection closed",
-                exit_code=None,
-                stderr_tail=[],
-            )
+            raise _connection_lost("closed")
         try:
             self._writer.write((line + "\n").encode("utf-8"))
             await self._writer.drain()
         except (ConnectionResetError, BrokenPipeError, OSError) as error:
-            raise ServerCrashError(
-                f"the tracker service connection dropped mid-send "
-                f"({error})",
-                exit_code=None,
-                stderr_tail=[],
-            ) from error
+            raise _connection_lost(f"dropped mid-send ({error})") from error
 
     async def _control_request(
-        self, line: Optional[str], timeout: float = SPAWN_TIMEOUT
+        self, line: str, timeout: float = SPAWN_TIMEOUT
     ) -> Any:
-        """Send an id-less command (or just await a reply); its payload."""
+        """Send an id-less command; the payload of its reply."""
         async with self._control_lock:
             # Capture the queue: a reconnect swaps self._control, and a
             # waiter must fail fast on its own (pre-drop) queue rather
             # than silently migrate to the new connection's replies.
             queue = self._control
-            if line is not None:
-                await self._send_line(line)
-                if queue is not self._control:
-                    queue = self._control  # send parked across a swap
+            await self._send_line(line)
+            if queue is not self._control:
+                queue = self._control  # send parked across a swap
+            reader = protocol.ReplyReader(
+                line.split(None, 1)[0], _deadline(timeout, 0.0)
+            )
             while True:
-                record = await self._next(queue, timeout)
-                if record is None:
-                    raise ControlTimeout(
-                        "the tracker service did not answer within "
-                        f"{timeout:.2f}s"
-                    )
-                if record.kind == "done":
-                    return record.payload
-                if record.kind == "error":
-                    raise _typed_error(record.payload)
+                record = await self._next(queue, reader.timeout())
+                if record is not None and reader.feed(record):
+                    return reader.result(_typed_error)
                 # stream/notify noise on the control channel: skip
 
     # ------------------------------------------------------------------
@@ -459,14 +434,7 @@ class ServiceClient:
         timeout: float = SPAWN_TIMEOUT,
     ) -> "AsyncTracker":
         """Open a session and wrap it in an :class:`AsyncTracker`."""
-        options: Dict[str, Any] = {}
-        if limits is not None:
-            if limits.address_space is not None:
-                options["as"] = limits.address_space
-            if limits.cpu_seconds is not None:
-                options["cpu"] = limits.cpu_seconds
-            if limits.file_size is not None:
-                options["fsize"] = limits.file_size
+        options = None if limits is None else protocol.limit_options(limits)
         payload = await self._control_request(
             protocol.format_command(
                 "-session-open", [program] + list(args or []), options
@@ -474,11 +442,9 @@ class ServiceClient:
             timeout=timeout,
         )
         session_id = payload["session"]
-        tracker = AsyncTracker(
-            self, session_id, self._queue_for(session_id)
-        )
-        tracker._pid = payload.get("pid")
-        tracker._epoch = payload.get("epoch", 1)
+        queue = self._queues[session_id] = asyncio.Queue()
+        tracker = AsyncTracker(self, session_id, queue)
+        tracker._note_attach(payload)
         self._trackers[session_id] = tracker
         return tracker
 
@@ -569,18 +535,6 @@ class AsyncTracker:
 
     # -- record plumbing -------------------------------------------------
 
-    async def _send(
-        self,
-        name: str,
-        args: Optional[List[str]] = None,
-        options: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        await self.client._send_line(
-            protocol.format_command(
-                name, args, options, session=self.session_id
-            )
-        )
-
     def _absorb(self, record: protocol.Record) -> None:
         if record.kind == "stream":
             self.console.append(record.payload)
@@ -599,18 +553,7 @@ class AsyncTracker:
         timeout: Optional[float] = SPAWN_TIMEOUT,
     ) -> Any:
         """One synchronous command round trip; the ``^done`` payload."""
-        await self._send(name, args, options)
-        while True:
-            record = await self.client._next(self._queue, timeout)
-            if record is None:
-                raise ControlTimeout(
-                    f"{name} went unanswered for {timeout:.2f}s"
-                )
-            if record.kind == "done":
-                return record.payload
-            if record.kind == "error":
-                raise _typed_error(record.payload)
-            self._absorb(record)
+        return await self._request(name, args, options, _deadline(timeout, 0.0))
 
     async def _run_control(
         self,
@@ -619,48 +562,42 @@ class AsyncTracker:
         grace: float = INTERRUPT_GRACE,
     ) -> Dict[str, Any]:
         """An exec command: block (asynchronously) until ``*stopped``."""
-        await self._send(name)
-        loop = asyncio.get_event_loop()
-        deadline = None if timeout is None else loop.time() + timeout
-        interrupted_at: Optional[float] = None
+        payload = await self._request(
+            name, None, None, _deadline(timeout, grace)
+        )
+        self._last_stop = payload
+        if payload.get("reason") == "exited":
+            self._exit_code = payload.get("exitcode")
+        return payload
+
+    async def _request(
+        self,
+        name: str,
+        args: Optional[List[str]],
+        options: Optional[Dict[str, Any]],
+        deadline: Optional[Deadline],
+    ) -> Any:
+        """Send one command and drive :class:`protocol.ReplyReader` over
+        this session's queue until its reply has ended."""
+        await self.client._send_line(
+            protocol.format_command(name, args, options, session=self.session_id)
+        )
+        reader = protocol.ReplyReader(name, deadline)
         while True:
-            if interrupted_at is not None:
-                slice_timeout: Optional[float] = (
-                    interrupted_at + grace - loop.time()
-                )
-                if slice_timeout <= 0:
-                    raise ControlTimeout(
-                        f"the inferior did not pause within {timeout}s and "
-                        "the interrupt went unanswered for the grace period"
-                    )
-            elif deadline is not None:
-                slice_timeout = max(deadline - loop.time(), 0.001)
-            else:
-                slice_timeout = None
-            record = await self.client._next(self._queue, slice_timeout)
+            if reader.interrupt_due():
+                await self.interrupt()
+            record = await self.client._next(self._queue, reader.timeout())
             if record is None:
-                if interrupted_at is None:
-                    interrupted_at = loop.time()
-                    await self.interrupt()
-                continue
-            if record.kind == "running":
-                pass  # the dialogue opener; *stopped follows eventually
-            elif record.kind == "stopped":
-                payload = record.payload or {}
-                self._last_stop = payload
-                if payload.get("reason") == "exited":
-                    self._exit_code = payload.get("exitcode")
-                return payload
-            elif record.kind == "error":
-                raise _typed_error(record.payload)
-            elif record.kind == "done":
-                continue  # stale interrupt ack
-            else:
-                self._absorb(record)
+                continue  # this wait ran out; the reader decides what next
+            if reader.feed(record):
+                return reader.result(_typed_error)
+            self._absorb(record)
 
     async def interrupt(self) -> None:
         """Fire-and-forget: pause the running inferior."""
-        await self._send("-exec-interrupt")
+        await self.client._send_line(
+            protocol.format_command("-exec-interrupt", session=self.session_id)
+        )
 
     # -- run control -----------------------------------------------------
 
@@ -685,7 +622,7 @@ class AsyncTracker:
     ) -> Dict[str, Any]:
         return await self._run_control("-exec-finish", timeout)
 
-    # -- control points --------------------------------------------------
+    # -- control points (commands from the one table) ---------------------
 
     async def break_before_line(
         self,
@@ -693,53 +630,44 @@ class AsyncTracker:
         filename: Optional[str] = None,
         maxdepth: Optional[int] = None,
     ) -> int:
-        location = f"{filename}:{line}" if filename else str(line)
-        return await self._break_insert(location, maxdepth)
+        return await self._install(LineBreakpoint(line, filename, maxdepth))
 
     async def break_before_func(
         self, name: str, maxdepth: Optional[int] = None
     ) -> int:
-        return await self._break_insert(name, maxdepth)
-
-    async def _break_insert(
-        self, location: str, maxdepth: Optional[int]
-    ) -> int:
-        options = {} if maxdepth is None else {"maxdepth": maxdepth}
-        payload = await self.execute("-break-insert", [location], options)
-        return payload["number"]
+        return await self._install(FunctionBreakpoint(name, maxdepth))
 
     async def watch(
         self, name: str, maxdepth: Optional[int] = None
     ) -> int:
-        options = {} if maxdepth is None else {"maxdepth": maxdepth}
-        payload = await self.execute("-break-watch", [name], options)
-        return payload["number"]
+        return await self._install(Watchpoint(name, maxdepth))
 
     async def track_function(
         self, name: str, maxdepth: Optional[int] = None
     ) -> int:
-        options = {} if maxdepth is None else {"maxdepth": maxdepth}
-        payload = await self.execute("-track-function", [name], options)
+        return await self._install(TrackedFunction(name, maxdepth))
+
+    async def _install(self, point: Any) -> int:
+        payload = await self.execute(*protocol.point_command(point))
         return payload["number"]
 
     async def delete_breakpoint(self, number: int) -> None:
         await self.execute("-break-delete", [str(number)])
 
-    # -- inspection ------------------------------------------------------
+    # -- inspection (commands and decoders from the one table) -----------
 
     async def get_position(self) -> Tuple[str, Optional[int]]:
-        payload = await self.execute("-inferior-position")
-        return payload["file"], payload["line"]
+        return await self._inspect("get_position")
 
     async def get_current_frame(self) -> Frame:
-        return frame_from_dict(await self.execute("-stack-list-frames"))
+        return await self._inspect("get_current_frame")
 
     async def get_global_variables(self) -> Dict[str, Variable]:
-        payload = await self.execute("-data-list-globals")
-        return {
-            name: variable_from_dict(data)
-            for name, data in payload.items()
-        }
+        return await self._inspect("get_global_variables")
+
+    async def _inspect(self, method: str) -> Any:
+        command, decode = protocol.INSPECTIONS[method]
+        return decode(await self.execute(command))
 
     def get_output(self) -> str:
         """Everything the inferior printed so far (already received)."""
@@ -766,6 +694,8 @@ class AsyncTracker:
             await self.execute("-session-close")
         except (TrackerError, ServerCrashError, ControlTimeout):
             pass
+        finally:
+            self.client._queues.pop(self.session_id, None)
 
     async def __aenter__(self) -> "AsyncTracker":
         return self

@@ -60,18 +60,6 @@ from repro.mi import protocol
 from repro.service.pool import ChildHandle, WarmPool
 from repro.subproc.limits import ResourceLimits
 
-#: MI commands whose reply is a run-control dialogue (``^running`` then
-#: eventually ``*stopped``) rather than a single ``^done``/``^error``.
-EXEC_COMMANDS = frozenset(
-    [
-        "-exec-run",
-        "-exec-continue",
-        "-exec-step",
-        "-exec-next",
-        "-exec-finish",
-    ]
-)
-
 #: Synchronous commands whose effect lives in the child and must be
 #: replayed, in original order, to rebuild a dead child's state.
 SETUP_COMMANDS = frozenset(
@@ -350,37 +338,28 @@ class Session:
         if command_name == "-exec-run":
             self.started = True
         records: List[str] = []
-        exec_command = command_name in EXEC_COMMANDS
+        reader = protocol.ReplyReader(command_name)
         while True:
-            raw = await self.child.transport.recv_line(timeout=None)
-            if raw is None:  # pragma: no cover - no timeout in use
-                continue
-            raw = raw.rstrip("\n")
+            raw = (await self.child.transport.recv_line()).rstrip("\n")
             self.touch()
             records.append(raw)
-            record = protocol.parse_record(raw)
-            if record.kind == "stopped":
-                payload = record.payload or {}
-                reason = payload.get("reason")
-                if reason == "exited":
-                    self.exited = True
-                    self.exit_code = payload.get("exitcode")
-                else:
-                    self._note_pause(reason, body if exec_command else None)
-                self.dialogue_pending = False
-                self._note_healthy()
-                return records
-            if record.kind == "error":
-                self.dialogue_pending = False
-                self._note_healthy()  # an ^error still proves liveness
-                return records
-            if record.kind == "done":
-                if not exec_command:
-                    self.dialogue_pending = False
-                    self._note_completed(command_name, body)
-                    self._note_healthy()
-                    return records
-                # a stale-interrupt ack racing the run; keep reading
+            if reader.feed(protocol.parse_record(raw)):
+                break
+        self.dialogue_pending = False
+        self._note_healthy()  # even an ^error proves liveness
+        end = reader.end
+        if end.kind == "error":
+            return records
+        if reader.exec:
+            payload = end.payload or {}
+            if payload.get("reason") == "exited":
+                self.exited = True
+                self.exit_code = payload.get("exitcode")
+            else:
+                self._note_pause(payload.get("reason"), body)
+        else:
+            self._note_completed(command_name, body)
+        return records
 
     async def interrupt(self) -> None:
         """Fire-and-forget: pause whatever this session is running.
@@ -401,13 +380,11 @@ class Session:
     # Manifest bookkeeping
     # ------------------------------------------------------------------
 
-    def _note_pause(self, reason: Optional[str], body: Optional[str]) -> None:
+    def _note_pause(self, reason: Optional[str], body: str) -> None:
         manifest = self.manifest
         if manifest is None:
             return
         manifest.pause_index += 1
-        if body is None:
-            return
         if body.split(None, 1)[0] == "-exec-run":
             # A fresh run supersedes the previous run's exec history —
             # control-point installs persist, replay validity recovers.
@@ -502,14 +479,13 @@ class Session:
         if not self.exited:
             self.exited = True
             self.exit_code = code
-        reply = self._tombstone_reply(command_name)
-        if command_name not in EXEC_COMMANDS:
-            reply = [self._tag(protocol.format_error(str(error)))]
-        return reply
+        if command_name in protocol.EXEC_COMMANDS:
+            return self._tombstone_reply(command_name)
+        return [self._tag(protocol.format_error(str(error)))]
 
     def _tombstone_reply(self, command_name: str) -> List[str]:
         """What a dead session answers, mirroring a dead inferior."""
-        if command_name in EXEC_COMMANDS:
+        if command_name in protocol.EXEC_COMMANDS:
             payload: Dict[str, Any] = {
                 "reason": "exited",
                 "exitcode": self.exit_code,
@@ -526,8 +502,6 @@ class Session:
         ]
 
     def _tag(self, record: str) -> str:
-        if self.wire_id is None:
-            return record
         return protocol.tag_record(record, self.wire_id)
 
 
@@ -728,22 +702,14 @@ class SessionManager:
         except BaseException:
             self._slots.release()
             raise
-        tainted = False
         effective_limits = (
             limits
             if limits is not None and limits != ResourceLimits()
             else None
         )
+        tainted = effective_limits is not None
         try:
-            if effective_limits is not None:
-                await child.request(
-                    "-apply-limits",
-                    options=_limit_options(effective_limits),
-                )
-                tainted = True
-            await child.request(
-                "-file-exec-and-symbols", [program] + list(args or [])
-            )
+            await _bind(child, program, list(args or []), effective_limits)
         except BaseException as error:
             await self.pool.release(
                 child,
@@ -889,14 +855,7 @@ class SessionManager:
         """
         manifest = session.manifest
         assert manifest is not None
-        if manifest.limits is not None:
-            await child.request(
-                "-apply-limits", options=_limit_options(manifest.limits)
-            )
-        await child.request(
-            "-file-exec-and-symbols",
-            [manifest.program] + list(manifest.args),
-        )
+        await _bind(child, manifest.program, manifest.args, manifest.limits)
         replay_exec = manifest.replay_valid
         degraded = False
         launched = False
@@ -972,12 +931,15 @@ class SessionManager:
         }
 
 
-def _limit_options(limits: ResourceLimits) -> Dict[str, int]:
-    options: Dict[str, int] = {}
-    if limits.address_space is not None:
-        options["as"] = limits.address_space
-    if limits.cpu_seconds is not None:
-        options["cpu"] = limits.cpu_seconds
-    if limits.file_size is not None:
-        options["fsize"] = limits.file_size
-    return options
+async def _bind(
+    child: ChildHandle,
+    program: str,
+    args: List[str],
+    limits: Optional[ResourceLimits],
+) -> None:
+    """Apply ``limits`` (if any) inside ``child``, then load ``program``."""
+    if limits is not None:
+        await child.request(
+            "-apply-limits", options=protocol.limit_options(limits)
+        )
+    await child.request("-file-exec-and-symbols", [program] + list(args))

@@ -26,7 +26,7 @@ import asyncio
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.errors import ProtocolError, ServerCrashError, TrackerError
+from repro.core.errors import TrackerError
 from repro.mi import protocol
 from repro.mi.transport import SPAWN_TIMEOUT, AsyncPipeTransport
 
@@ -89,50 +89,25 @@ class ChildHandle:
 
         The session-resurrection replay path uses this: recovery
         manifests store verbatim command bodies, which replay id-less
-        against a fresh child.
+        against a fresh child. An exec command's reply is its
+        ``*stopped`` payload. Streams and notifications (stale output
+        from a previous life, or produced by the re-executed inferior)
+        are discarded: replay must not re-deliver output the client
+        already saw.
         """
         await self.transport.send_line(line)
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + timeout
-        while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise asyncio.TimeoutError(f"{line} went unanswered")
-            record = await self.recv_record(timeout=remaining)
-            if record is None:
-                continue
-            if record.kind == "done":
-                return record.payload
-            if record.kind == "error":
-                raise TrackerError(str(record.payload))
-            if record.kind in ("stream", "notify"):
-                continue  # stale output from a previous life
-            raise ProtocolError(f"unexpected record {record.kind} for {line}")
+        reader = protocol.ReplyReader(line.split(None, 1)[0])
 
-    async def run_line(
-        self, line: str, timeout: float = PING_TIMEOUT
-    ) -> Dict[str, Any]:
-        """One exec-command round trip; the ``*stopped`` payload.
+        async def read() -> Any:
+            while not reader.feed(await self.recv_record()):
+                pass
+            return reader.result()
 
-        Streams and notifications produced by the re-executed inferior
-        are consumed and discarded (replay must not re-deliver output the
-        client already saw). Raises like :meth:`request`.
-        """
-        await self.transport.send_line(line)
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + timeout
-        while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise asyncio.TimeoutError(f"{line} went unanswered")
-            record = await self.recv_record(timeout=remaining)
-            if record is None:
-                continue
-            if record.kind == "stopped":
-                return record.payload or {}
-            if record.kind == "error":
-                raise TrackerError(str(record.payload))
-            # running / done (stale ack) / stream / notify: keep reading
+        return await asyncio.wait_for(read(), timeout)
+
+    #: One exec-command round trip, for the replay of a recorded
+    #: run-control command: the same reply rule returns its ``*stopped``.
+    run_line = request_line
 
     async def close(self, graceful_exit: bool = True) -> None:
         await self.transport.close(graceful_exit=graceful_exit)
@@ -180,12 +155,17 @@ class WarmPool:
     async def _spawn_child(self, warm: bool) -> ChildHandle:
         transport = await self._spawn_transport(self._spawn_argv)
         child = ChildHandle(transport, warm=warm)
-        greeting = await child.recv_record(timeout=SPAWN_TIMEOUT)
-        if greeting is None or greeting.kind != "done":
+        try:
+            greeting = await child.recv_record(timeout=SPAWN_TIMEOUT)
+            if greeting is None or greeting.kind != "done":
+                raise TrackerError(
+                    f"pool child refused to start: {greeting!r}"
+                )
+        except BaseException:
+            # Cancellation included: close() cancels a refill in flight,
+            # and the child it was greeting must not outlive the pool.
             await child.close(graceful_exit=False)
-            raise TrackerError(
-                f"pool child refused to start: {greeting!r}"
-            )
+            raise
         self.stats["spawned"] += 1
         return child
 
@@ -213,7 +193,7 @@ class WarmPool:
         while not self._closed and len(self._idle) < self.size:
             try:
                 child = await self._spawn_child(warm=True)
-            except (TrackerError, ServerCrashError, OSError):
+            except (TrackerError, OSError):
                 return  # transient spawn trouble; next acquire retries
             if self._closed or len(self._idle) >= self.size:
                 await child.close(graceful_exit=False)
@@ -230,8 +210,7 @@ class WarmPool:
             return False
         try:
             info = await child.request("-server-info")
-        except (TrackerError, ServerCrashError, ProtocolError,
-                asyncio.TimeoutError):
+        except (TrackerError, asyncio.TimeoutError):
             return False
         return not info.get("limits_applied", False)
 

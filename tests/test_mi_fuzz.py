@@ -8,6 +8,8 @@ live server and assert the contract: every input line yields parseable
 records and never an unhandled exception.
 """
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,8 @@ from repro.core.supervision import Deadline
 from repro.mi.client import MIClient
 from repro.mi.protocol import parse_record
 from repro.mi.server import DebugServer
+from repro.mi.transport import SPAWN_TIMEOUT
+from repro.service.client import AsyncTracker
 from repro.testing.faults import ScriptedTransport
 
 C_PROGRAM = """\
@@ -114,50 +118,112 @@ def test_inspection_commands_after_crash_are_errors(tmp_path):
 GREETING = '^done,{"loaded":"prog.c"}'
 
 
-def scripted_client(lines, on_empty="eof"):
-    """An MIClient wired to a transport replaying exactly ``lines``."""
+class AsyncScriptedClient:
+    """The asyncio reader (:class:`AsyncTracker`) over a ScriptedTransport.
+
+    It stands in for the ``ServiceClient`` an ``AsyncTracker`` reads
+    through: sends go to the transport (``-exec-interrupt`` counts as its
+    interrupt) and each receive parses the next scripted line. It also
+    offers the blocking client's ``execute``/``run_control``, so one test
+    body drives both readers.
+    """
+
+    def __init__(self, transport):
+        self.transport = transport
+        transport.recv_line()  # the greeting
+        self.tracker = AsyncTracker(self, "s1", queue=None)
+        self.console = self.tracker.console
+        self.notifications = self.tracker.notifications
+
+    async def _send_line(self, line):
+        if line.endswith("-exec-interrupt"):
+            self.transport.interrupt()
+        else:
+            self.transport.send_line(line)
+
+    async def _next(self, queue, timeout):
+        line = self.transport.recv_line(timeout=timeout)
+        return None if line is None else parse_record(line)
+
+    def execute(self, name, deadline=None):
+        timeout = SPAWN_TIMEOUT if deadline is None else deadline.timeout
+        return asyncio.run(self.tracker.execute(name, timeout=timeout))
+
+    def run_control(self, name, deadline=None):
+        if deadline is None:
+            return asyncio.run(self.tracker._run_control(name))
+        return asyncio.run(
+            self.tracker._run_control(
+                name, deadline.timeout, grace=deadline.grace
+            )
+        )
+
+
+def scripted_client(lines, on_empty="eof", reader="blocking"):
+    """A client wired to a transport replaying exactly ``lines``.
+
+    ``reader`` picks the client: the blocking :class:`MIClient`, or the
+    asyncio :class:`AsyncTracker` through :class:`AsyncScriptedClient`.
+    """
     transport = ScriptedTransport([GREETING] + list(lines), on_empty=on_empty)
+    if reader == "asyncio":
+        return AsyncScriptedClient(transport), transport
     client = MIClient("prog.c", transport_factory=lambda: transport)
     return client, transport
 
 
-class TestTruncatedRecords:
+class ScriptedReplies:
+    """Scripted reply-rule cases, run once per client reader.
+
+    ``reader`` is the parameter. The classes below run their cases on the
+    blocking reader; each ``...OverAsyncio`` subclass runs the same cases
+    on the asyncio reader (a subclass rather than a pytest parameter keeps
+    the blocking cases' test ids).
+    """
+
+    reader = "blocking"
+
+    def scripted_client(self, lines, on_empty="eof"):
+        return scripted_client(lines, on_empty, reader=self.reader)
+
+
+class TestTruncatedRecords(ScriptedReplies):
     def test_truncated_done_payload_is_a_typed_error(self):
-        client, _ = scripted_client(['^done,{"x": '])
+        client, _ = self.scripted_client(['^done,{"x": '])
         with pytest.raises(ProtocolError):
             client.execute("-stack-list-frames")
 
     def test_truncated_stopped_payload_is_a_typed_error(self):
-        client, _ = scripted_client(["^running", '*stopped,{"reason"'])
+        client, _ = self.scripted_client(["^running", '*stopped,{"reason"'])
         with pytest.raises(ProtocolError):
             client.run_control("-exec-continue")
 
     def test_unknown_record_marker_is_a_typed_error(self):
-        client, _ = scripted_client(["!!! not MI at all"])
+        client, _ = self.scripted_client(["!!! not MI at all"])
         with pytest.raises(ProtocolError):
             client.execute("-stack-list-frames")
 
 
-class TestMidRecordEOF:
+class TestMidRecordEOF(ScriptedReplies):
     def test_eof_instead_of_result_is_a_crash_error(self):
-        client, _ = scripted_client([])
+        client, _ = self.scripted_client([])
         with pytest.raises(ServerCrashError):
             client.execute("-stack-list-frames")
 
     def test_eof_while_running_is_a_crash_error(self):
-        client, _ = scripted_client(["^running"])
+        client, _ = self.scripted_client(["^running"])
         with pytest.raises(ServerCrashError):
             client.run_control("-exec-continue")
 
     def test_crash_error_reports_the_context(self):
-        client, _ = scripted_client([])
+        client, _ = self.scripted_client([])
         with pytest.raises(ServerCrashError, match="output pipe closed"):
             client.execute("-stack-list-frames")
 
 
-class TestInterleavedRecords:
+class TestInterleavedRecords(ScriptedReplies):
     def test_async_lines_before_the_result_are_absorbed(self):
-        client, _ = scripted_client(
+        client, _ = self.scripted_client(
             [
                 '~"hello\\n"',
                 '=heap-alloc,{"address":16,"size":8}',
@@ -171,7 +237,7 @@ class TestInterleavedRecords:
         ]
 
     def test_async_lines_while_running_are_absorbed(self):
-        client, _ = scripted_client(
+        client, _ = self.scripted_client(
             [
                 "^running",
                 '~"output\\n"',
@@ -184,7 +250,7 @@ class TestInterleavedRecords:
         assert client.console == ["output\n"]
 
     def test_stale_interrupt_ack_mid_run_is_tolerated(self):
-        client, _ = scripted_client(
+        client, _ = self.scripted_client(
             [
                 "^running",
                 "^done",
@@ -194,17 +260,33 @@ class TestInterleavedRecords:
         assert client.run_control("-exec-continue")["line"] == 3
 
 
-class TestSilentServerNeverHangs:
+class TestSilentServerNeverHangs(ScriptedReplies):
     def test_silent_result_read_times_out(self):
-        client, _ = scripted_client([], on_empty="silence")
+        client, _ = self.scripted_client([], on_empty="silence")
         with pytest.raises(ControlTimeout):
             client.execute("-stack-list-frames", deadline=Deadline(0.15))
 
     def test_silent_run_interrupts_then_times_out(self):
-        client, transport = scripted_client(["^running"], on_empty="silence")
+        client, transport = self.scripted_client(["^running"], on_empty="silence")
         with pytest.raises(ControlTimeout):
             client.run_control("-exec-continue", deadline=Deadline(0.15))
         assert transport.interrupts == 1  # the interrupt was attempted
+
+
+class TestTruncatedRecordsOverAsyncio(TestTruncatedRecords):
+    reader = "asyncio"
+
+
+class TestMidRecordEOFOverAsyncio(TestMidRecordEOF):
+    reader = "asyncio"
+
+
+class TestInterleavedRecordsOverAsyncio(TestInterleavedRecords):
+    reader = "asyncio"
+
+
+class TestSilentServerNeverHangsOverAsyncio(TestSilentServerNeverHangs):
+    reader = "asyncio"
 
 
 @given(st.text(max_size=80))

@@ -236,6 +236,46 @@ class TestWarmPool:
         assert warm is False
         assert stats["cold_spawns"] == 1
 
+    def test_close_during_refill_closes_the_greeting_child(self):
+        """A refill cancelled mid-greeting must not leave its child alive."""
+
+        class LateGreeter:
+            """A child transport that is alive but has not greeted yet."""
+
+            pid = None
+
+            def __init__(self):
+                self.closed = False
+
+            def alive(self):
+                return not self.closed
+
+            async def recv_line(self, timeout=None):
+                await asyncio.sleep(timeout or 3600)
+                return None
+
+            async def close(self, graceful_exit=True):
+                self.closed = True
+
+        spawned = []
+
+        async def spawner(argv):
+            spawned.append(LateGreeter())
+            return spawned[-1]
+
+        async def scenario():
+            pool = WarmPool(size=1, transport_spawner=spawner)
+            pool._schedule_refill()
+            for _ in range(100):  # until the refill awaits its greeting
+                if spawned:
+                    break
+                await asyncio.sleep(0.01)
+            await pool.close()
+
+        run(scenario())
+        assert spawned
+        assert not [transport for transport in spawned if transport.alive()]
+
 
 # ---------------------------------------------------------------------------
 # Admission control and idle reaping
@@ -406,6 +446,24 @@ class TestServiceEndToEnd:
                 await service.close()
 
         run(scenario())
+
+    def test_closed_trackers_leave_no_demux_queue(self, write_program):
+        path = write_program("prog.py", COUNTING_PY)
+
+        async def scenario():
+            service = await make_service()
+            try:
+                host, port = service.address
+                async with await ServiceClient.connect(host, port) as client:
+                    for _ in range(20):
+                        tracker = await client.open_tracker(path)
+                        await tracker.break_before_line(3)
+                        await tracker.close()
+                    return dict(client._queues)
+            finally:
+                await service.close()
+
+        assert run(scenario()) == {}
 
     def test_eight_concurrent_sessions_smoke(self, write_program):
         """The CI smoke contract: 8 sessions, breakpoint + resume each,
