@@ -158,27 +158,22 @@ class _SingleThreadTracker(PythonTracker):
             raise _KillInferior()
         if not self._is_inferior_frame(frame):
             return None
-        if self._interrupt_requested:
-            self._deliver_interrupt(frame)
-            return self._trace
         if event == "call":
-            self._handle_call(frame)
+            self._decide(frame, event, arg)
             if self.engine.can_skip_frame(
                 frame.f_code.co_filename, frame.f_code.co_name
             ):
                 return None
-        elif event == "line":
-            self._handle_line(frame)
-        elif event == "return":
-            self._handle_return(frame, arg)
+        elif event == "line" or event == "return":
+            self._decide(frame, event, arg)
         return self._trace
 
 
 def test_thread_dispatch_overhead_within_1_3x(benchmark, write_program):
     """ISSUE guard: the thread-aware ``_trace`` must cost a single-threaded
     inferior at most 1.3x the pre-thread dispatch. The added work on the
-    hot path is three attribute checks (`_finished`, `_pause_active`,
-    `_interrupt_requested`) and a registration probe that short-circuits
+    hot path is two attribute checks (`_finished`, `_pause_active`) and a
+    registration probe that short-circuits
     while only one thread has ever traced — constant, branch-predictable
     overhead, not a multiplier. Runs are interleaved and medianed so clock
     drift hits both sides equally."""

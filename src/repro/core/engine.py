@@ -23,6 +23,12 @@ a registry changes, tracked by a dirty flag):
 - unified watchpoint change-detection over a backend-supplied fetch
   callback.
 
+:meth:`ControlPointEngine.decide` is the one pause decision over those
+indexes: every backend (settrace, ``sys.monitoring``, the mini-C/RISC-V
+event generator, recorded-timeline replay) feeds it its events, so the
+order in which watches, breakpoints, tracked functions and the step mode
+are consulted is written once.
+
 The engine is also the observability layer: :class:`TrackerStats` counts
 events seen/suppressed per kind, pauses by reason, watchpoint evaluations
 and pause latency, and is exposed uniformly through the inspection API
@@ -46,6 +52,8 @@ from typing import (
     Optional,
     Tuple,
 )
+
+from repro.core.pause import PauseReason, PauseReasonType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.core.tracker import (
@@ -299,7 +307,10 @@ class ControlPointEngine:
     need no notification because enabled-ness is checked at match time.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, probe: Any = None) -> None:
+        #: The backend :meth:`decide` asks about an event's depth, thread,
+        #: watched values and pc (a :class:`repro.core.tracker.Tracker`).
+        self.probe = probe
         self.line_breakpoints: List[LineBreakpoint] = []
         self.function_breakpoints: List[FunctionBreakpoint] = []
         self.tracked_functions: List[TrackedFunction] = []
@@ -312,8 +323,12 @@ class ControlPointEngine:
         #: Thread index the step mode is scoped to (``None`` = any thread;
         #: multi-thread backends arm stepping for the paused thread only).
         self.mode_thread: Optional[int] = None
+        #: Set (from any thread) to pause at the next decided event.
+        self.interrupt_requested = False
         self._dirty = True
         self._watch_snapshots: Dict[int, Optional[str]] = {}
+        #: Whether the first pause (the start pause) took the baselines.
+        self._baselined = False
         self._synced_ids: set = set()
         self._event_ns: int = 0
         self._event_kind: str = ""
@@ -507,6 +522,154 @@ class ControlPointEngine:
     # Pause decisions
     # ------------------------------------------------------------------
 
+    def decide(
+        self,
+        kind: str,
+        line: Optional[int],
+        function: Optional[str],
+        filename: Optional[str],
+        subject: Any,
+    ) -> Optional[Tuple[PauseReason, Any]]:
+        """Whether the inferior pauses at one event, and why.
+
+        This is the one pause decision every backend feeds its events to.
+        ``kind`` is ``"line"``, ``"call"`` or ``"return"``; any other kind
+        is only counted and can only take a pending interrupt.
+        ``function`` is the function a call or return enters or leaves
+        (``None``: no function control point may match it) and
+        ``filename`` the executing file (``None``: line breakpoints match
+        in any file). ``subject`` is the backend's handle on the event (a
+        frame, an inferior event, a recorded snapshot); it is handed back
+        to :attr:`probe` (``_event_depth``, ``_event_thread``,
+        ``_watched_value``, ``_event_pc``) only when a check needs the
+        answer, so an event nothing can match computes none of them.
+
+        The checks, first hit wins:
+
+        - any kind: a pending interrupt -> ``INTERRUPT``;
+        - line: a changed watch -> ``WATCH``; a line or address
+          breakpoint -> ``BREAKPOINT``; the step mode -> ``STEP``;
+        - call: a function breakpoint -> ``BREAKPOINT``; a tracked
+          function -> ``CALL``;
+        - return: a tracked function -> ``RETURN`` (the backend adds the
+          return value).
+
+        Returns ``(reason, point)``, where ``point`` is the matched
+        control point (``None`` for a step or an interrupt), or ``None``.
+        The first pause -- the start pause -- records every watch's
+        baseline; watches are not evaluated before it.
+        """
+        if self._dirty:
+            self._recompile()
+        if self.interrupt_requested:
+            self.interrupt_requested = False
+            self.note_event("interrupt")
+            self.stats.interrupts += 1
+            return self._paused(
+                PauseReason(type=PauseReasonType.INTERRUPT, line=line),
+                None,
+                subject,
+            )
+        self.note_event(kind)
+        if kind == "line":
+            watching = self._has_watchpoints and self._baselined
+            if not (
+                watching
+                or line in self._bp_lines
+                or self._address_index
+                or self.mode != "resume"
+            ):
+                return None
+        elif kind == "call":
+            if not self.may_match_function(function):
+                return None
+        elif kind != "return" or function not in self._tracked_index:
+            return None
+        probe = self.probe
+        depth = probe._event_depth(subject)
+        thread = probe._event_thread(subject)
+        if kind == "call":
+            point = self.match_function_breakpoint(function, depth, thread)
+            if point is not None:
+                return self._paused(
+                    PauseReason(
+                        type=PauseReasonType.BREAKPOINT,
+                        function=function,
+                        line=line,
+                    ),
+                    point,
+                    subject,
+                )
+        if kind != "line":
+            point = self.match_tracked(function, depth, thread)
+            if point is None:
+                return None
+            return self._paused(
+                PauseReason(
+                    type=(
+                        PauseReasonType.CALL
+                        if kind == "call"
+                        else PauseReasonType.RETURN
+                    ),
+                    function=function,
+                    line=line,
+                ),
+                point,
+                subject,
+            )
+        if watching:
+            hit = self.evaluate_watches(
+                depth,
+                lambda function, name: probe._watched_value(
+                    subject, function, name
+                ),
+                thread,
+            )
+            if hit is not None:
+                point, old, new = hit
+                return self._paused(
+                    PauseReason(
+                        type=PauseReasonType.WATCH,
+                        variable=point.variable_id,
+                        old_value=old,
+                        new_value=new,
+                        line=line,
+                    ),
+                    point,
+                    subject,
+                )
+        point = self.match_line(filename, line, depth, thread)
+        if point is None and self._address_index:
+            point = self.match_address(probe._event_pc(subject), depth, thread)
+        if point is not None:
+            return self._paused(
+                PauseReason(type=PauseReasonType.BREAKPOINT, line=line),
+                point,
+                subject,
+            )
+        if self.should_step_pause(depth, thread):
+            return self._paused(
+                PauseReason(type=PauseReasonType.STEP, line=line),
+                None,
+                subject,
+            )
+        return None
+
+    def _paused(
+        self, reason: PauseReason, point: Any, subject: Any
+    ) -> Tuple[PauseReason, Any]:
+        """Account for a decided pause; the first one takes the baselines."""
+        self.record_pause(reason.type)
+        if not self._baselined:
+            self._baselined = True
+            probe = self.probe
+            self.baseline_watches(
+                lambda function, name: probe._watched_value(
+                    subject, function, name
+                )
+            )
+        return reason, point
+
     @property
     def has_watchpoints(self) -> bool:
         """Whether any watchpoints are installed (enabled or not)."""
@@ -619,8 +782,23 @@ class ControlPointEngine:
     # Watchpoints: unified value-change detection
     # ------------------------------------------------------------------
 
+    def watch_installed(self, watchpoint: Watchpoint, subject: Any) -> None:
+        """Baseline a watch installed after the start pause.
+
+        ``subject`` is the event the inferior is paused at; the watched
+        variable's value there is the baseline, so only a later
+        modification fires. A watch installed before the start pause
+        gets its baseline there instead, and an engine that never decides
+        a pause (a remote tracker's registry) keeps none.
+        """
+        if self._baselined and subject is not None:
+            function, name = split_variable_id(watchpoint.variable_id)
+            self.seed_watch(
+                watchpoint, self.probe._watched_value(subject, function, name)
+            )
+
     def seed_watch(self, watchpoint: Watchpoint, value: Optional[str]) -> None:
-        """Record a baseline value for one watchpoint (added mid-run)."""
+        """Record a baseline value for one watchpoint."""
         self._watch_snapshots[id(watchpoint)] = value
 
     def baseline_watches(
@@ -628,9 +806,9 @@ class ControlPointEngine:
     ) -> None:
         """Record baselines for every watchpoint without firing any.
 
-        Used by backends whose variables exist (initialized) before the
-        first event — a watch fires on *modification*, not on the
-        pre-existing initial value.
+        :meth:`decide` takes them at the start pause: a watch fires on
+        *modification*, not on the value a variable already held when the
+        program started (C globals are initialized before the first line).
         """
         for watchpoint in self.watchpoints:
             function, name = split_variable_id(watchpoint.variable_id)

@@ -8,13 +8,12 @@ any backend via :meth:`Tracker.enable_recording`, loaded from a
 a registered timeline codec (Python Tutor traces are one such codec; the
 PT tracker is now a thin subclass of this one).
 
-Control points are evaluated against recorded snapshots through the same
-:class:`ControlPointEngine` the live backends use, so ``resume`` over a
-replay pauses at the same breakpoints/watchpoints/tracked functions a
-live run would — to the resolution of what was recorded. Because the
-history is immutable, the reverse control calls
-(``timeline_view().backward_step()``, ``goto`` ...) are native motions
-here rather than a rewind overlay.
+Recorded snapshots are fed to the same pause decision the live backends
+use (:meth:`ControlPointEngine.decide`), so every control call over a
+replay pauses where the live run would, with the same reason — to the
+resolution of what was recorded. Because the history is immutable, the
+reverse control calls (``timeline_view().backward_step()``, ``goto`` ...)
+are native motions here rather than a rewind overlay.
 """
 
 from __future__ import annotations
@@ -63,10 +62,9 @@ class ReplayTracker(Tracker):
             raise ProgramLoadError(f"timeline {path!r} contains no snapshots")
 
     def _start(self) -> None:
-        self._index = self._timeline.first_index
-        self._mark_pause(
-            PauseReason(type=PauseReasonType.STEP, line=self._snap().line)
-        )
+        self.engine.arm("step")
+        self._index = self._timeline.first_index - 1
+        self._advance()
 
     def _terminate(self) -> None:
         # A timeline is immutable history; there is nothing to kill and
@@ -102,6 +100,7 @@ class ReplayTracker(Tracker):
     def _advance(self) -> None:
         timeline = self._timeline
         last = len(timeline) - 1
+        decide = self.engine.decide
         while True:
             if self._index >= last:
                 self._mark_exit(None)  # recording exhausted
@@ -111,75 +110,30 @@ class ReplayTracker(Tracker):
             if snapshot.event == EVENT_EXIT and snapshot.frame is None:
                 self._mark_exit(snapshot)
                 return
-            reason = self._decide(snapshot)
-            if reason is not None:
-                self._mark_pause(reason)
+            name, line = snapshot.func_name, snapshot.line
+            pause = None
+            if snapshot.event in (EVENT_CALL, EVENT_RETURN):
+                pause = decide(snapshot.event, line, name, None, snapshot)
+            if pause is None:
+                # Every recorded snapshot is a line position too, so a step
+                # lands on each one.
+                pause = decide("line", line, name, None, snapshot)
+            if pause is not None:
+                self._mark_pause(pause[0])
                 return
 
-    def _decide(self, snapshot: StateSnapshot) -> Optional[PauseReason]:
-        """One recorded snapshot in, pause decision out — via the engine."""
-        engine = self.engine
-        engine.refresh()
-        engine.note_event(snapshot.event or "step")
-        depth = snapshot.depth
-        # A plain step pauses at the very next recorded point, before any
-        # control point gets a look — matching the live trackers, where a
-        # step lands on the next line unconditionally.
-        if engine.mode != "step":
-            reason = self._control_point(snapshot)
-            if reason is not None:
-                return reason
-        if engine.should_step_pause(depth):
-            return PauseReason(type=PauseReasonType.STEP, line=snapshot.line)
-        return None
+    # -- the engine's probe: a recorded snapshot is the event ---------------
 
-    def _control_point(self, snapshot: StateSnapshot) -> Optional[PauseReason]:
-        engine = self.engine
-        depth = snapshot.depth
-        if engine.has_watchpoints:
-            hit = engine.evaluate_watches(
-                depth,
-                lambda function, name: self._watch_render(
-                    snapshot, function, name
-                ),
-            )
-            if hit is not None:
-                watchpoint, old, new = hit
-                return PauseReason(
-                    type=PauseReasonType.WATCH,
-                    variable=watchpoint.variable_id,
-                    old_value=old,
-                    new_value=new,
-                    line=snapshot.line,
-                )
-        if snapshot.line is not None and engine.may_match_line(snapshot.line):
-            if engine.match_line(None, snapshot.line, depth) is not None:
-                return PauseReason(
-                    type=PauseReasonType.BREAKPOINT, line=snapshot.line
-                )
-        name = snapshot.func_name
-        if name and engine.may_match_function(name):
-            if snapshot.event == EVENT_CALL:
-                if engine.match_function_breakpoint(name, depth) is not None:
-                    return PauseReason(
-                        type=PauseReasonType.BREAKPOINT,
-                        function=name,
-                        line=snapshot.line,
-                    )
-            if snapshot.event in (EVENT_CALL, EVENT_RETURN):
-                if engine.match_tracked(name, depth) is not None:
-                    return PauseReason(
-                        type=(
-                            PauseReasonType.CALL
-                            if snapshot.event == EVENT_CALL
-                            else PauseReasonType.RETURN
-                        ),
-                        function=name,
-                        line=snapshot.line,
-                    )
-        return None
+    def _event_depth(self, snapshot: StateSnapshot) -> int:
+        return snapshot.depth
 
-    def _watch_render(
+    def _event_thread(self, snapshot: StateSnapshot) -> int:
+        return snapshot.thread or 0
+
+    def _pause_subject(self) -> Optional[StateSnapshot]:
+        return self._snap() if self._index >= 0 else None
+
+    def _watched_value(
         self, snapshot: StateSnapshot, function: Optional[str], name: str
     ) -> Optional[str]:
         """Rendered value of a watched variable in a recorded snapshot.
@@ -196,7 +150,6 @@ class ReplayTracker(Tracker):
         return value.render()
 
     def _mark_pause(self, reason: PauseReason) -> None:
-        self.engine.record_pause(reason.type)
         self._pause_reason = reason
         self.last_lineno = self.next_lineno
         self.next_lineno = self._snap().line

@@ -155,7 +155,7 @@ class Tracker:
             Callable[[SupervisionEvent], None]
         ] = []
         #: The shared indexed decision core; owns the registries below.
-        self.engine = ControlPointEngine()
+        self.engine = ControlPointEngine(self)
         self.line_breakpoints: List[LineBreakpoint] = self.engine.line_breakpoints
         self.function_breakpoints: List[FunctionBreakpoint] = (
             self.engine.function_breakpoints
@@ -375,12 +375,16 @@ class Tracker:
 
         ``variable_id`` is either a plain name (global or any frame) or
         ``"function:name"`` to scope the watch to one function's local.
+        The baseline a modification is detected against is the value at
+        the start pause, or, for a watch installed while the inferior is
+        paused, the current value.
         """
         watchpoint = Watchpoint(
             variable_id=variable_id, maxdepth=maxdepth, thread=thread
         )
         self.watchpoints.append(watchpoint)
         self._control_points_changed()
+        self.engine.watch_installed(watchpoint, self._pause_subject())
         return watchpoint
 
     def clear_control_points(self) -> None:
@@ -777,6 +781,33 @@ class Tracker:
         overrides must call ``super()._control_points_changed()``.
         """
         self.engine.mark_dirty()
+
+    # The engine's probe: what ControlPointEngine.decide asks about the
+    # event (``subject``) it is deciding, and only when a check needs it.
+
+    def _event_depth(self, subject: Any) -> int:
+        """Frame depth of the event (0 = the program's entry frame)."""
+        return 0
+
+    def _event_thread(self, subject: Any) -> int:
+        """Inferior thread index of the event (0 = the main thread)."""
+        return 0
+
+    def _watched_value(
+        self, subject: Any, function: Optional[str], name: str
+    ) -> Optional[str]:
+        """Rendered value of a watched variable at the event (``None``:
+        not visible there)."""
+        return None
+
+    def _event_pc(self, subject: Any) -> Optional[int]:
+        """Program counter at the event, for address breakpoints."""
+        return None
+
+    def _pause_subject(self) -> Any:
+        """The event the inferior is paused at, or ``None`` (not paused,
+        or a tracker whose pauses are decided elsewhere)."""
+        return None
 
     # ------------------------------------------------------------------
     # State checks

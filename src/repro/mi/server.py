@@ -30,7 +30,7 @@ from repro.core.engine import AddressBreakpoint
 from repro.core.errors import ProgramLoadError
 from repro.core.pause import PauseReason, PauseReasonType
 from repro.core.state import Frame, Variable
-from repro.core.tracker import LineBreakpoint, Tracker, Watchpoint
+from repro.core.tracker import LineBreakpoint, Tracker
 from repro.minic.events import (
     AllocEvent,
     CallEvent,
@@ -68,21 +68,17 @@ class InferiorTracker(Tracker):
         super().__init__()
         self.inferior: Optional[InferiorAdapter] = None
         self._events: Optional[Iterator[Event]] = None
-        #: reference depth for next/finish (the caller's after a return)
-        self._depth = 0
-        self._line: Optional[int] = None
         self._stdout = ""
-        self._watch_baseline_done = False
         self._events_since_poll = 0
-        self._interrupt_requested = False
         #: polled every ``_INTERRUPT_POLL_EVERY`` events for an
         #: ``-exec-interrupt`` (installed by the hosting server)
         self.interrupt_poll: Optional[Callable[[], bool]] = None
         #: function of the newest event
         self.function: Optional[str] = None
-        #: frame depth of the last pause's event
-        self.stop_depth = 0
-        #: the breakpoint or watchpoint that caused the last pause
+        #: the event of the last pause (its depth is the next/finish
+        #: reference, as a settrace frame's is)
+        self.stop_event: Optional[Event] = None
+        #: the control point that caused the last pause
         self.hit: Any = None
         self.exit_error: Optional[str] = None
         #: output and allocation events not yet drained by the server
@@ -111,23 +107,23 @@ class InferiorTracker(Tracker):
         self._events = None
 
     def _request_interrupt(self) -> None:
-        self._interrupt_requested = True
+        self.engine.interrupt_requested = True
 
-    def watch(
-        self,
-        variable_id: str,
-        maxdepth: Optional[int] = None,
-        thread: Optional[int] = None,
-    ) -> Watchpoint:
-        watchpoint = super().watch(variable_id, maxdepth, thread)
-        if self._started:
-            # Installed mid-run: the current value is the baseline; only a
-            # later modification fires.
-            function, name = watchpoint.split()
-            self.engine.seed_watch(
-                watchpoint, self.inferior.render_watch(function, name)
-            )
-        return watchpoint
+    # -- the engine's probe ---------------------------------------------------
+
+    def _event_depth(self, event: Optional[Event]) -> int:
+        return 0 if event is None else event.depth
+
+    def _watched_value(
+        self, event: Event, function: Optional[str], name: str
+    ) -> Optional[str]:
+        return self.inferior.render_watch(function, name)
+
+    def _event_pc(self, event: Event) -> Optional[int]:
+        return self.inferior.current_pc()
+
+    def _pause_subject(self) -> Optional[Event]:
+        return self.stop_event
 
     # -- inspection -------------------------------------------------------
 
@@ -149,19 +145,9 @@ class InferiorTracker(Tracker):
     def _advance(self, mode: str) -> None:
         """Consume events until a pause decision or the exit."""
         engine = self.engine
-        engine.arm(mode, self._depth)
-        engine.refresh()
-        self.hit = None
+        engine.arm(mode, self._event_depth(self.stop_event))
         while True:
-            if self._interrupt_pending():
-                self._interrupt_requested = False
-                engine.note_event("interrupt")
-                engine.stats.interrupts += 1
-                self._pause(
-                    PauseReason(type=PauseReasonType.INTERRUPT, line=self._line),
-                    self._depth,
-                )
-                return
+            self._poll_interrupt()
             event = next(self._events, None)
             if event is None or isinstance(event, ExitEvent):
                 self._exit(event)
@@ -173,45 +159,39 @@ class InferiorTracker(Tracker):
             if isinstance(event, AllocEvent):
                 self.side_events.append(event)
                 continue
-            if isinstance(event, CallEvent):
-                self._depth = event.depth
-                self.function = event.function
-                reason = self._check_call(event)
+            if isinstance(event, LineEvent):
+                kind = "line"
+            elif isinstance(event, CallEvent):
+                kind = "call"
             elif isinstance(event, ReturnEvent):
-                self.function = event.function
-                reason = self._check_return(event)
-                self._depth = max(event.depth - 1, 0)
-            elif isinstance(event, LineEvent):
-                self._depth = event.depth
-                self.function = event.function
-                self._line = event.line
-                reason = self._check_line(event)
+                kind = "return"
             else:
                 # WriteEvent and any future event kinds: no run-control effect.
                 continue
-            if reason is not None:
-                self._pause(reason, event.depth)
+            self.function = event.function
+            pause = engine.decide(
+                kind, event.line, event.function, None, event
+            )
+            if pause is not None:
+                reason, self.hit = pause
+                if reason.type is PauseReasonType.RETURN:
+                    reason.return_value = event.value
+                self.stop_event = event
+                self._pause_reason = reason
+                self.last_lineno = self.next_lineno
+                self.next_lineno = reason.line
                 return
 
-    def _interrupt_pending(self) -> bool:
-        """Whether an interrupt arrived (flag, or stdin every N events)."""
-        if self._interrupt_requested:
-            return True
+    def _poll_interrupt(self) -> None:
+        """Check the server for an ``-exec-interrupt`` every N events."""
         self._events_since_poll += 1
         if (
             self.interrupt_poll is not None
             and self._events_since_poll >= _INTERRUPT_POLL_EVERY
         ):
             self._events_since_poll = 0
-            return self.interrupt_poll()
-        return False
-
-    def _pause(self, reason: PauseReason, depth: int) -> None:
-        self.engine.record_pause(reason.type)
-        self.stop_depth = depth
-        self._pause_reason = reason
-        self.last_lineno = self.next_lineno
-        self.next_lineno = reason.line
+            if self.interrupt_poll():
+                self.engine.interrupt_requested = True
 
     def _exit(self, event: Optional[ExitEvent]) -> None:
         self.engine.note_event("exit")
@@ -219,82 +199,6 @@ class InferiorTracker(Tracker):
         self._exit_code = event.code if event is not None else 0
         self.exit_error = self.inferior.exit_error()
         self._pause_reason = PauseReason(type=PauseReasonType.EXIT)
-
-    def _check_call(self, event: CallEvent) -> Optional[PauseReason]:
-        engine = self.engine
-        engine.note_event("call")
-        if not engine.may_match_function(event.function):
-            return None
-        matched = engine.match_function_breakpoint(event.function, event.depth)
-        if matched is not None:
-            self.hit = matched
-            return PauseReason(
-                type=PauseReasonType.BREAKPOINT,
-                function=event.function,
-                line=event.line,
-            )
-        if engine.match_tracked(event.function, event.depth) is not None:
-            return PauseReason(
-                type=PauseReasonType.CALL, function=event.function,
-                line=event.line,
-            )
-        return None
-
-    def _check_return(self, event: ReturnEvent) -> Optional[PauseReason]:
-        engine = self.engine
-        engine.note_event("return")
-        if not engine.may_match_function(event.function):
-            return None
-        if engine.match_tracked(event.function, event.depth) is not None:
-            return PauseReason(
-                type=PauseReasonType.RETURN,
-                function=event.function,
-                return_value=event.value,
-                line=event.line,
-            )
-        return None
-
-    def _check_line(self, event: LineEvent) -> Optional[PauseReason]:
-        engine = self.engine
-        engine.note_event("line")
-        if not self._watch_baseline_done:
-            # C globals exist (initialized) before the first line runs, so
-            # the first check only records baselines — a watch fires on
-            # *modification*, not on the pre-existing initial value.
-            self._watch_baseline_done = True
-            engine.baseline_watches(self.inferior.render_watch)
-        elif engine.has_watchpoints:
-            hit = engine.evaluate_watches(
-                event.depth, self.inferior.render_watch
-            )
-            if hit is not None:
-                self.hit, old, new = hit
-                return PauseReason(
-                    type=PauseReasonType.WATCH,
-                    variable=self.hit.variable_id,
-                    old_value=old,
-                    new_value=new,
-                    line=event.line,
-                )
-        matched: Any = None
-        if engine.may_match_line(event.line):
-            matched = engine.match_line(None, event.line, event.depth)
-        if matched is None and engine.has_address_breakpoints:
-            # The program counter is only fetched when an address
-            # breakpoint could match.
-            matched = engine.match_address(
-                self.inferior.current_pc(), event.depth
-            )
-        if matched is not None:
-            self.hit = matched
-            return PauseReason(
-                type=PauseReasonType.BREAKPOINT,
-                function=event.function,
-                line=event.line,
-            )
-        if engine.should_step_pause(event.depth):
-            return PauseReason(type=PauseReasonType.STEP, line=event.line)
-        return None
 
 
 class DebugServer(ServerCore):
@@ -342,14 +246,15 @@ class DebugServer(ServerCore):
         tracker = self.tracker
         if reason.type is PauseReasonType.EXIT:
             return {"error": tracker.exit_error} if tracker.exit_error else {}
-        fields: Dict[str, Any] = {"depth": tracker.stop_depth}
+        fields: Dict[str, Any] = {"depth": tracker.stop_event.depth}
         if reason.type is PauseReasonType.INTERRUPT:
             return fields
         fields["func"] = tracker.function
         hit = tracker.hit
-        if hit is not None:
-            key = "wpnum" if isinstance(hit, Watchpoint) else "bkptno"
-            fields[key] = getattr(hit, "number", 0)
+        if reason.type is PauseReasonType.WATCH:
+            fields["wpnum"] = getattr(hit, "number", 0)
+        elif reason.type is PauseReasonType.BREAKPOINT:
+            fields["bkptno"] = getattr(hit, "number", 0)
         if reason.type is PauseReasonType.STEP or isinstance(
             hit, (LineBreakpoint, AddressBreakpoint)
         ):

@@ -235,7 +235,7 @@ class MonitoringTracker(PythonTracker):
         if (
             mode != "resume"
             or engine.has_watchpoints
-            or self._interrupt_requested
+            or engine.interrupt_requested
             or self._killed
             or engine.lines_may_fire_in(self._program_abspath)
         ):
@@ -364,10 +364,7 @@ class MonitoringTracker(PythonTracker):
         frame = self._callback_frame(code)
         if frame is None:  # pragma: no cover - defensive
             return None
-        if self._interrupt_requested:
-            self._deliver_interrupt(frame)
-            return None
-        self._handle_line(frame)
+        self._decide(frame, "line", None)
         # Decided *after* any pause, against the engine state the control
         # call that woke us re-armed: if nothing can ever pause at this
         # location under the current indexes, stop reporting it. This is
@@ -376,7 +373,7 @@ class MonitoringTracker(PythonTracker):
         if (
             engine.mode == "resume"
             and not engine.has_watchpoints
-            and not self._interrupt_requested
+            and not engine.interrupt_requested
             and not self._killed
             and not engine.may_match_line(line_number)
         ):
@@ -395,14 +392,11 @@ class MonitoringTracker(PythonTracker):
         frame = self._callback_frame(code)
         if frame is None:  # pragma: no cover - defensive
             return None
-        if self._interrupt_requested:
-            self._deliver_interrupt(frame)
-            return None
-        self._handle_call(frame)
+        self._decide(frame, "call", None)
         engine = self.engine
         if (
             engine.mode == "resume"
-            and not self._interrupt_requested
+            and not engine.interrupt_requested
             and not self._killed
             and not engine.may_match_function(code.co_name)
         ):
@@ -416,14 +410,11 @@ class MonitoringTracker(PythonTracker):
         frame = self._callback_frame(code)
         if frame is None:  # pragma: no cover - defensive
             return None
-        if self._interrupt_requested:
-            self._deliver_interrupt(frame)
-            return None
-        self._handle_return(frame, retval)
+        self._decide(frame, "return", retval)
         engine = self.engine
         if (
             engine.mode == "resume"
-            and not self._interrupt_requested
+            and not engine.interrupt_requested
             and not self._killed
             and not engine.may_match_function(code.co_name)
         ):
@@ -438,8 +429,7 @@ class MonitoringTracker(PythonTracker):
         if code.co_filename != self._program_abspath:
             return
         self._mon_sync()
-        self.engine.note_event("raise")
-        if self._interrupt_requested:
-            frame = self._callback_frame(code)
-            if frame is not None:
-                self._deliver_interrupt(frame)
+        frame = self._callback_frame(code)
+        if frame is not None:
+            # Counted, and a pending interrupt pauses here.
+            self._decide(frame, "raise", exc)

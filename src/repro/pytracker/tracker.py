@@ -184,7 +184,6 @@ class PythonTracker(Tracker):
         self._snapshot_depth = snapshot_depth
         self._capture_limits = capture_limits
         self._terminate_grace = terminate_grace
-        self._interrupt_requested = False
         self._output = RingTextBuffer(output_limit)
         self._guard_active = False
         self._source_code = None
@@ -422,7 +421,7 @@ class PythonTracker(Tracker):
                 # expiry would.
                 self._condition.wait(timeout=0.25)
                 if (
-                    self._interrupt_requested
+                    self.engine.interrupt_requested
                     and self._pause_count == before
                     and not self._finished
                     and self._classify_stall(before)
@@ -475,7 +474,7 @@ class PythonTracker(Tracker):
         executes a traced event delivers the interrupt pause, so deadlines
         work even when the hot thread is a worker.
         """
-        self._interrupt_requested = True
+        self.engine.interrupt_requested = True
         self._retrace_live_frames()
 
     def _retrace_live_frames(self) -> None:
@@ -700,8 +699,9 @@ class PythonTracker(Tracker):
             self._thread_records[index] = record
             return index
 
-    def _thread_index(self) -> int:
-        """Stable index of the calling inferior thread (0 if unknown)."""
+    def _event_thread(self, frame) -> int:
+        """Stable index of the calling inferior thread (0 if unknown): the
+        thread of the event being decided."""
         index = self._thread_ids.get(threading.get_ident())
         return 0 if index is None else index
 
@@ -759,7 +759,7 @@ class PythonTracker(Tracker):
             self._saved_stdout = None
 
     # ------------------------------------------------------------------
-    # The trace function: every pause decision happens here
+    # The trace function: every event goes to the engine's decision
     # ------------------------------------------------------------------
 
     def _trace(self, frame, event: str, arg: Any):
@@ -768,8 +768,13 @@ class PythonTracker(Tracker):
             # "process" exited (module done, non-daemon workers joined),
             # straggling daemon workers die the same way. Other threads
             # that inherited the trace via threading.settrace are simply
-            # untraced.
-            if threading.get_ident() in self._thread_ids:
+            # untraced, including a new thread that reuses the OS ident of
+            # a finished inferior thread.
+            index = self._thread_ids.get(threading.get_ident())
+            if (
+                index is not None
+                and self._thread_records[index].thread.is_alive()
+            ):
                 raise _KillInferior()
             return None
         if not self._is_inferior_frame(frame):
@@ -779,12 +784,9 @@ class PythonTracker(Tracker):
             # is released (the owner thread itself is inside _pause, never
             # here).
             self._park(frame)
-        if self._interrupt_requested:
-            self._deliver_interrupt(frame)
-            return self._trace
         if event == "call":
             self._ensure_thread_registered()
-            self._handle_call(frame)
+            self._decide(frame, event, arg)
             # The engine's per-file map knows whether anything could pause
             # inside this frame; if not, drop its local trace function and
             # skip every line/return event of the whole frame.
@@ -792,10 +794,8 @@ class PythonTracker(Tracker):
                 frame.f_code.co_filename, frame.f_code.co_name
             ):
                 return None
-        elif event == "line":
-            self._handle_line(frame)
-        elif event == "return":
-            self._handle_return(frame, arg)
+        elif event == "line" or event == "return":
+            self._decide(frame, event, arg)
         return self._trace
 
     def _park(self, frame) -> None:
@@ -827,30 +827,21 @@ class PythonTracker(Tracker):
         """
         if not self._guard_active or self._killed:
             return
-        if sys.gettrace() is not self._trace:
+        # ``!=``, not ``is not``: every ``self._trace`` is a new bound
+        # method object, so an identity test would "detect" a tampering on
+        # every call and re-run settrace from inside the profile hook.
+        if sys.gettrace() != self._trace:
             self.engine.stats.settrace_tamperings += 1
             sys.settrace(self._trace)
             # Frames that lost their local trace function while the global
             # hook was off must be re-armed explicitly.
             self._retrace_live_frames()
 
-    def _deliver_interrupt(self, frame) -> None:
-        """Pause here because the supervisor requested an async interrupt."""
-        self._interrupt_requested = False
-        self.engine.note_event("interrupt")
-        self.engine.stats.interrupts += 1
-        self.last_lineno = self.next_lineno
-        self.next_lineno = frame.f_lineno
-        self._pause(
-            frame,
-            "interrupt",
-            PauseReason(type=PauseReasonType.INTERRUPT, line=frame.f_lineno),
-        )
-
     def _is_inferior_frame(self, frame) -> bool:
         return frame.f_code.co_filename == self._program_abspath
 
-    def _frame_depth(self, frame) -> int:
+    def _event_depth(self, frame) -> int:
+        """Depth of ``frame`` among the inferior's frames (0 = module)."""
         depth = -1
         current = frame
         while current is not None:
@@ -862,139 +853,47 @@ class PythonTracker(Tracker):
     def _current_depth(self) -> int:
         if self._paused_py_frame is None:
             return 0
-        return self._frame_depth(self._paused_py_frame)
+        return self._event_depth(self._paused_py_frame)
 
-    def _handle_call(self, frame) -> None:
-        engine = self.engine
-        engine.refresh()
-        engine.note_event("call")
-        function = frame.f_code.co_name
-        if function == "<module>":
-            return
-        if not engine.may_match_function(function):
-            return
-        depth = self._frame_depth(frame)
-        thread = self._thread_index()
-        if engine.match_function_breakpoint(function, depth, thread) is not None:
-            self._pause(
-                frame,
-                "call",
-                PauseReason(
-                    type=PauseReasonType.BREAKPOINT,
-                    function=function,
-                    line=frame.f_lineno,
-                ),
-            )
-            return
-        if engine.match_tracked(function, depth, thread) is not None:
-            self._pause(
-                frame,
-                "call",
-                PauseReason(
-                    type=PauseReasonType.CALL,
-                    function=function,
-                    line=frame.f_lineno,
-                ),
-            )
-
-    def _handle_line(self, frame) -> None:
-        engine = self.engine
-        engine.refresh()
-        engine.note_event("line")
+    def _decide(self, frame, event: str, arg: Any) -> None:
+        """Feed one trace event to the engine; pause here if it says so."""
+        code = frame.f_code
         line = frame.f_lineno
-        self.last_lineno = self.next_lineno
-        self.next_lineno = line
-
-        # Depth is O(stack) to compute, so it is resolved lazily: only once
-        # something (watch, candidate breakpoint, armed stepping) needs it.
-        # Same for the thread index (one dict hit) — the no-hit fast path
-        # touches neither.
-        depth = -1
-        thread = -1
-        if engine.has_watchpoints:
-            depth = self._frame_depth(frame)
-            thread = self._thread_index()
-            hit = engine.evaluate_watches(
-                depth,
-                lambda function, name: self._render_watched(
-                    frame, function, name
-                ),
-                thread,
+        if event == "line":
+            self.last_lineno = self.next_lineno
+            self.next_lineno = line
+            pause = self.engine.decide(
+                event, line, None, code.co_filename, frame
             )
-            if hit is not None:
-                watchpoint, old, new = hit
-                self._pause(
-                    frame,
-                    "line",
-                    PauseReason(
-                        type=PauseReasonType.WATCH,
-                        variable=watchpoint.variable_id,
-                        old_value=old,
-                        new_value=new,
-                        line=line,
-                    ),
-                )
-                return
-
-        if engine.may_match_line(line):
-            if depth < 0:
-                depth = self._frame_depth(frame)
-            if thread < 0:
-                thread = self._thread_index()
-            if (
-                engine.match_line(frame.f_code.co_filename, line, depth, thread)
-                is not None
-            ):
-                self._pause(
-                    frame,
-                    "line",
-                    PauseReason(type=PauseReasonType.BREAKPOINT, line=line),
-                )
-                return
-
-        if engine.mode != "resume":
-            if depth < 0:
-                depth = self._frame_depth(frame)
-            if thread < 0:
-                thread = self._thread_index()
-            if engine.should_step_pause(depth, thread):
-                self._pause(
-                    frame,
-                    "line",
-                    PauseReason(type=PauseReasonType.STEP, line=line),
-                )
-
-    def _handle_return(self, frame, return_value: Any) -> None:
-        engine = self.engine
-        engine.refresh()
-        engine.note_event("return")
-        function = frame.f_code.co_name
-        if function == "<module>":
-            return
-        if not engine.may_match_function(function):
-            return
-        depth = self._frame_depth(frame)
-        if engine.match_tracked(function, depth, self._thread_index()) is not None:
-            modeled = self._snapshotter().snapshot(return_value)
-            self._pause(
+        else:
+            # Module frames are not functions: no function control point
+            # matches them.
+            function = code.co_name
+            pause = self.engine.decide(
+                event,
+                line,
+                None if function == "<module>" else function,
+                None,
                 frame,
-                "return",
-                PauseReason(
-                    type=PauseReasonType.RETURN,
-                    function=function,
-                    return_value=modeled,
-                    line=frame.f_lineno,
-                ),
             )
+        if pause is None:
+            return
+        reason = pause[0]
+        if reason.type is PauseReasonType.RETURN:
+            reason.return_value = self._snapshotter().snapshot(arg)
+        self._pause(frame, event, reason)
 
     # ------------------------------------------------------------------
-    # Watchpoints: value-change detection before every line
+    # Watched values and the paused frame, for the engine's probe
     # ------------------------------------------------------------------
 
-    def _render_watched(
+    def _pause_subject(self):
+        return self._paused_py_frame
+
+    def _watched_value(
         self, frame, function: Optional[str], name: str
     ) -> Optional[str]:
-        """Engine fetch callback: current rendered value, ``None`` = missing."""
+        """Current rendered value of a watched variable, ``None`` = missing."""
         current = self._find_watched(frame, function, name)
         return None if current is _MISSING else repr(current)
 
@@ -1028,7 +927,6 @@ class PythonTracker(Tracker):
         if reason.thread is None:
             reason.thread = index
             reason.thread_name = record.name if record is not None else None
-        self.engine.record_pause(reason.type)
         self.engine.stats.output_chars_dropped = self._output.dropped
         with self._condition:
             # All-stop, serialized delivery: if another thread's pause is

@@ -64,7 +64,7 @@ class PTTracker(ReplayTracker):
     # render as the repr of their encoded form, e.g. "1" or "['REF', 3]")
     # ------------------------------------------------------------------
 
-    def _watch_render(
+    def _watched_value(
         self, snapshot: StateSnapshot, function: Optional[str], name: str
     ) -> Optional[str]:
         step = self._current_step()

@@ -403,23 +403,37 @@ class ServiceClient:
     async def _control_request(
         self, line: str, timeout: float = SPAWN_TIMEOUT
     ) -> Any:
-        """Send an id-less command; the payload of its reply."""
+        """Send an id-less command; the payload of its reply.
+
+        A line prefixed with an id of no open tracker (``ghost-exec-run``)
+        is answered under that id, so it is read from a queue that lives
+        for this one reply.
+        """
         async with self._control_lock:
-            # Capture the queue: a reconnect swaps self._control, and a
-            # waiter must fail fast on its own (pre-drop) queue rather
-            # than silently migrate to the new connection's replies.
-            queue = self._control
-            await self._send_line(line)
-            if queue is not self._control:
-                queue = self._control  # send parked across a swap
-            reader = protocol.ReplyReader(
-                line.split(None, 1)[0], _deadline(timeout, 0.0)
-            )
-            while True:
-                record = await self._next(queue, reader.timeout())
-                if record is not None and reader.feed(record):
-                    return reader.result(_typed_error)
-                # stream/notify noise on the control channel: skip
+            session, command = protocol.split_session(line)
+            tagged = session is not None and session not in self._queues
+            if tagged:
+                self._queues[session] = asyncio.Queue()
+            try:
+                # Capture the queue: a reconnect swaps self._control, and
+                # a waiter must fail fast on its own (pre-drop) queue
+                # rather than silently migrate to the new connection's
+                # replies.
+                queue = self._queues[session] if tagged else self._control
+                await self._send_line(line)
+                if not tagged and queue is not self._control:
+                    queue = self._control  # send parked across a swap
+                reader = protocol.ReplyReader(
+                    command.split(None, 1)[0], _deadline(timeout, 0.0)
+                )
+                while True:
+                    record = await self._next(queue, reader.timeout())
+                    if record is not None and reader.feed(record):
+                        return reader.result(_typed_error)
+                    # stream/notify noise on the control channel: skip
+            finally:
+                if tagged:
+                    self._queues.pop(session, None)
 
     # ------------------------------------------------------------------
     # Public API

@@ -246,7 +246,7 @@ class PythonDebugServer(ServerCore):
     # ------------------------------------------------------------------
 
     def _evaluate(self, function: Optional[str], name: str) -> Optional[str]:
-        return self.tracker._render_watched(
+        return self.tracker._watched_value(
             self.tracker._paused_py_frame, function, name
         )
 

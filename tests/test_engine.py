@@ -342,3 +342,95 @@ class TestEndToEndStats:
         assert stats.pauses.get("breakpoint") == 1
         assert stats.events_seen.get("line", 0) >= 2
         tracker.terminate()
+
+
+class _Probe:
+    """A backend stand-in: answers the decision's questions, counts them."""
+
+    def __init__(self, values=None, depth=0):
+        self.values = dict(values or {})
+        self.depth = depth
+        self.asked = 0
+
+    def _event_depth(self, subject):
+        self.asked += 1
+        return self.depth
+
+    def _event_thread(self, subject):
+        return 0
+
+    def _watched_value(self, subject, function, name):
+        return self.values.get(name)
+
+    def _event_pc(self, subject):
+        return None
+
+
+def probed_engine(probe, **points):
+    engine = make_engine(**points)
+    engine.probe = probe
+    return engine
+
+
+class TestDecide:
+    def test_no_hit_line_asks_the_backend_nothing(self):
+        probe = _Probe()
+        engine = probed_engine(probe, lines=[LineBreakpoint(line=9)])
+        engine.arm("resume")
+        assert engine.decide("line", 3, None, None, object()) is None
+        assert probe.asked == 0
+        assert engine.stats.events_seen == {"line": 1}
+
+    def test_line_precedence_watch_then_breakpoint_then_step(self):
+        probe = _Probe({"x": "1"})
+        watch = Watchpoint(variable_id="x")
+        line = LineBreakpoint(line=3)
+        engine = probed_engine(probe, lines=[line], watches=[watch])
+        engine.arm("step")
+        reason, point = engine.decide("line", 3, None, None, object())
+        # The start pause takes the baselines: no watch fires there.
+        assert (reason.type, point) == (PauseReasonType.BREAKPOINT, line)
+        probe.values["x"] = "2"
+        reason, point = engine.decide("line", 3, None, None, object())
+        assert (reason.type, point) == (PauseReasonType.WATCH, watch)
+        assert (reason.old_value, reason.new_value) == ("1", "2")
+        reason, point = engine.decide("line", 4, None, None, object())
+        assert (reason.type, point) == (PauseReasonType.STEP, None)
+
+    def test_call_precedence_function_breakpoint_then_tracked(self):
+        probe = _Probe()
+        breakpoint_ = FunctionBreakpoint(function="f")
+        tracked = TrackedFunction(function="f")
+        engine = probed_engine(
+            probe, functions=[breakpoint_], tracked=[tracked]
+        )
+        engine.arm("step")
+        reason, point = engine.decide("call", 1, "f", None, object())
+        assert (reason.type, point) == (PauseReasonType.BREAKPOINT, breakpoint_)
+        reason, point = engine.decide("return", 2, "f", None, object())
+        assert (reason.type, point) == (PauseReasonType.RETURN, tracked)
+        # Step never pauses on a call or return event by itself.
+        assert engine.decide("call", 1, "g", None, object()) is None
+
+    def test_interrupt_wins_on_any_event(self):
+        engine = probed_engine(_Probe(), lines=[LineBreakpoint(line=3)])
+        engine.interrupt_requested = True
+        reason, point = engine.decide("call", 3, "f", None, object())
+        assert (reason.type, point) == (PauseReasonType.INTERRUPT, None)
+        assert not engine.interrupt_requested
+        assert engine.stats.interrupts == 1
+
+    def test_watch_installed_after_the_start_pause_is_seeded(self):
+        probe = _Probe({"x": "5"})
+        engine = probed_engine(probe)
+        engine.arm("step")
+        engine.decide("line", 1, None, None, object())  # the start pause
+        watch = Watchpoint(variable_id="x")
+        engine.watchpoints.append(watch)
+        engine.mark_dirty()
+        engine.watch_installed(watch, object())
+        engine.arm("resume")
+        assert engine.decide("line", 2, None, None, object()) is None
+        probe.values["x"] = "6"
+        reason, _ = engine.decide("line", 3, None, None, object())
+        assert (reason.old_value, reason.new_value) == ("5", "6")

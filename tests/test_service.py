@@ -12,6 +12,7 @@ import json
 import os
 import signal
 import sys
+import time
 
 import pytest
 
@@ -435,10 +436,16 @@ class TestServiceEndToEnd:
                     stats = await client.service_stats()
                     assert stats["open_sessions"] == 1
                     assert stats["pool"]["spawned"] >= 1
-                    with pytest.raises(TrackerError):
+                    started = time.monotonic()
+                    with pytest.raises(
+                        TrackerError, match="no session 'ghost'"
+                    ):
                         await client._control_request(
                             "ghost-exec-run", timeout=10
                         )
+                    # The tagged ^error answers the request, well before
+                    # the request's own timeout would.
+                    assert time.monotonic() - started < 2.0
                     await tracker.close()
                     stats = await client.service_stats()
                     assert stats["open_sessions"] == 0

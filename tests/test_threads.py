@@ -12,6 +12,9 @@ pauses land on worker threads. Deadlock detection has its own suite
 (``tests/test_concurrency_stress.py``).
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.errors import TrackerError
@@ -263,3 +266,37 @@ class TestSingleThreadedCompat:
         tracker.step()
         assert tracker.pause_reason.thread == 0
         tracker.terminate()
+
+
+class TestFinishedTrackerSparesUnrelatedThreads:
+    def test_thread_reusing_a_finished_inferior_ident_is_not_killed(
+        self, write_program
+    ):
+        """``threading.settrace`` hands a finished tracker's trace function
+        to threads started later (concurrent trackers restore each other's
+        hooks out of order). A new thread that reuses the OS ident of the
+        tracker's dead inferior thread is not that thread: it must run,
+        not be unwound as a killed inferior."""
+        tracker = PythonTracker()
+        tracker.load_program(write_program("p.py", "a = 1\nb = 2\n"))
+        tracker.start()
+        tracker.terminate()
+        ran = []
+
+        def work():
+            ran.append(True)
+
+        def reuse_ident_then_work():
+            # Stand in for the OS recycling the dead inferior's ident.
+            tracker._thread_ids[threading.get_ident()] = 0
+            sys.settrace(tracker._trace)
+            try:
+                work()
+            finally:
+                sys.settrace(None)
+
+        thread = threading.Thread(target=reuse_ident_then_work)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert ran == [True]
