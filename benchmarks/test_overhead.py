@@ -146,9 +146,12 @@ class _SingleThreadTracker(PythonTracker):
 
     This is the ``_trace`` body exactly as it stood before the thread
     dimension was added: no all-stop park check, no thread-registration
-    probe, no per-thread kill routing. A single-threaded inferior never
-    exercises those branches, so the current tracker is allowed only
-    their branch-predict cost — the guard below bounds it.
+    probe, no per-thread kill routing. It also returns itself as every
+    frame's local hook, so the gated line hook never runs and each line
+    event pays the full engine decision, as every tracker did before the
+    gate. The current tracker adds the thread branches but takes the
+    lines no breakpoint is on through the gate, so it is expected to beat
+    this baseline; the guard below bounds it at the threads' cost.
     """
 
     def _trace(self, frame, event, arg):

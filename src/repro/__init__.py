@@ -6,7 +6,7 @@ visualization tools. See ``README.md`` for a quickstart and ``DESIGN.md``
 for the system inventory.
 
 The top-level namespace re-exports the full public API so tool scripts can
-write, exactly as in the paper::
+write, exactly as in the paper (each name is imported on first use)::
 
     from repro import init_tracker, PauseReasonType, AbstractType
 
@@ -15,126 +15,89 @@ promise — is defined by :mod:`repro.api` and re-exported here; prefer
 ``from repro.api import ...`` in new code.
 """
 
-from repro import api
-from repro.api import (
-    CallRecord,
-    ChangeEvent,
-    DivergenceReport,
-    EquivalenceReport,
-    QueryResult,
-    TaskInfo,
-    ThreadInfo,
-    TimelineView,
-    TraceIndex,
-    TraceStore,
-    TraceStoreError,
-    TrackerGroup,
-    check_equivalence,
-    parse_query,
-)
-from repro.core import (
-    AbstractType,
-    AlreadyTerminatedError,
-    BackendUnavailableError,
-    BackoffPolicy,
-    ControlTimeout,
-    Deadline,
-    Frame,
-    FunctionBreakpoint,
-    InferiorCrashError,
-    LineBreakpoint,
-    Location,
-    NotPausedError,
-    NotStartedError,
-    PauseReason,
-    PauseReasonType,
-    ProgramLoadError,
-    ProtocolError,
-    ReplayTracker,
-    ServerCrashError,
-    StateSnapshot,
-    SupervisionEvent,
-    Timeline,
-    TimelineRecorder,
-    TrackedFunction,
-    Tracker,
-    TrackerError,
-    UnknownFunctionError,
-    UnknownVariableError,
-    Value,
-    Variable,
-    Watchpoint,
-    available_trackers,
-    frame_from_dict,
-    frame_to_dict,
-    init_tracker,
-    load_timeline,
-    register_timeline_codec,
-    register_tracker,
-    value_from_dict,
-    value_to_dict,
-    variable_from_dict,
-    variable_to_dict,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AbstractType",
-    "AlreadyTerminatedError",
-    "BackendUnavailableError",
-    "BackoffPolicy",
-    "CallRecord",
-    "ChangeEvent",
-    "ControlTimeout",
-    "Deadline",
-    "DivergenceReport",
-    "EquivalenceReport",
-    "Frame",
-    "FunctionBreakpoint",
-    "InferiorCrashError",
-    "LineBreakpoint",
-    "Location",
-    "NotPausedError",
-    "NotStartedError",
-    "PauseReason",
-    "PauseReasonType",
-    "ProgramLoadError",
-    "ProtocolError",
-    "QueryResult",
-    "ReplayTracker",
-    "ServerCrashError",
-    "StateSnapshot",
-    "SupervisionEvent",
-    "TaskInfo",
-    "ThreadInfo",
-    "Timeline",
-    "TimelineRecorder",
-    "TimelineView",
-    "TraceIndex",
-    "TraceStore",
-    "TraceStoreError",
-    "TrackedFunction",
-    "Tracker",
-    "TrackerError",
-    "TrackerGroup",
-    "UnknownFunctionError",
-    "UnknownVariableError",
-    "Value",
-    "Variable",
-    "Watchpoint",
-    "api",
-    "available_trackers",
-    "check_equivalence",
-    "frame_from_dict",
-    "frame_to_dict",
-    "init_tracker",
-    "load_timeline",
-    "parse_query",
-    "register_timeline_codec",
-    "register_tracker",
-    "value_from_dict",
-    "value_to_dict",
-    "variable_from_dict",
-    "variable_to_dict",
-]
+#: Where each re-exported name lives. Nothing below is imported until a
+#: name is first read (PEP 562), so ``from repro import init_tracker``
+#: loads the core and, when a tracker is built, only that backend.
+_SOURCES = {
+    "repro.core": (
+        "AbstractType",
+        "AlreadyTerminatedError",
+        "BackendUnavailableError",
+        "BackoffPolicy",
+        "CallRecord",
+        "ChangeEvent",
+        "ControlTimeout",
+        "Deadline",
+        "Frame",
+        "FunctionBreakpoint",
+        "InferiorCrashError",
+        "LineBreakpoint",
+        "Location",
+        "NotPausedError",
+        "NotStartedError",
+        "PauseReason",
+        "PauseReasonType",
+        "ProgramLoadError",
+        "ProtocolError",
+        "QueryResult",
+        "ReplayTracker",
+        "ServerCrashError",
+        "StateSnapshot",
+        "SupervisionEvent",
+        "Timeline",
+        "TimelineRecorder",
+        "TimelineView",
+        "TraceIndex",
+        "TraceStore",
+        "TraceStoreError",
+        "TrackedFunction",
+        "Tracker",
+        "TrackerError",
+        "UnknownFunctionError",
+        "UnknownVariableError",
+        "Value",
+        "Variable",
+        "Watchpoint",
+        "available_trackers",
+        "frame_from_dict",
+        "frame_to_dict",
+        "init_tracker",
+        "load_timeline",
+        "parse_query",
+        "register_timeline_codec",
+        "register_tracker",
+        "value_from_dict",
+        "value_to_dict",
+        "variable_from_dict",
+        "variable_to_dict",
+    ),
+    "repro.core.threads": ("TaskInfo", "ThreadInfo"),
+    "repro.tools.equivalence": (
+        "DivergenceReport",
+        "EquivalenceReport",
+        "TrackerGroup",
+        "check_equivalence",
+    ),
+}
+_ORIGIN = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted([*_ORIGIN, "api"])
+
+
+def __getattr__(name: str):
+    if name == "api":
+        return importlib.import_module("repro.api")
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -701,6 +701,12 @@ class ControlPointEngine:
             or os.path.basename(filename) in self._bp_files
         )
 
+    @property
+    def breakpoint_lines(self) -> FrozenSet[int]:
+        """Every line carrying a line breakpoint, in any file, as of the
+        last index build (call :meth:`refresh` first)."""
+        return self._bp_lines
+
     def may_match_line(self, line: int) -> bool:
         """O(1) fast reject: is there *any* breakpoint on this line?"""
         return line in self._bp_lines

@@ -4,18 +4,36 @@ Tool scripts select a backend with one line, as in the paper's Listing 1::
 
     tracker = init_tracker("python" if inf.endswith(".py") else "GDB")
 
-Backends are registered lazily so importing :mod:`repro` does not pull in
-every substrate.
+Backends are registered lazily: building one imports that backend's
+module and no other substrate.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Callable, Dict
 
 from repro.core.errors import TrackerError
 from repro.core.tracker import Tracker
 
-_REGISTRY: Dict[str, Callable[..., Tracker]] = {}
+
+def _builtin(module: str, cls: str) -> Callable[..., Tracker]:
+    """A builder that imports ``module`` only when a tracker is built."""
+
+    def build(**kwargs: Any) -> Tracker:
+        return getattr(importlib.import_module(module), cls)(**kwargs)
+
+    return build
+
+
+_REGISTRY: Dict[str, Callable[..., Tracker]] = {
+    "python": _builtin("repro.pytracker.tracker", "PythonTracker"),
+    "python-mon": _builtin("repro.pytracker.monitoring", "MonitoringTracker"),
+    "python-subproc": _builtin("repro.subproc.tracker", "SubprocPythonTracker"),
+    "gdb": _builtin("repro.gdbtracker.tracker", "GDBTracker"),
+    "pt": _builtin("repro.pytutor.pt_tracker", "PTTracker"),
+    "replay": _builtin("repro.core.replay", "ReplayTracker"),
+}
 
 
 def register_tracker(name: str, build: Callable[..., Tracker]) -> None:
@@ -29,7 +47,6 @@ def register_tracker(name: str, build: Callable[..., Tracker]) -> None:
 
 def available_trackers() -> list:
     """Names of all registered backends."""
-    _ensure_builtins()
     return sorted(_REGISTRY)
 
 
@@ -51,7 +68,6 @@ def init_tracker(name: str, **kwargs: Any) -> Tracker:
     Raises:
         TrackerError: if no backend with that name is registered.
     """
-    _ensure_builtins()
     try:
         build = _REGISTRY[name.lower()]
     except KeyError:
@@ -60,31 +76,3 @@ def init_tracker(name: str, **kwargs: Any) -> Tracker:
             f"unknown tracker {name!r}; registered backends: {known}"
         ) from None
     return build(**kwargs)
-
-
-def _ensure_builtins() -> None:
-    """Register the bundled backends on first use."""
-    if "python" not in _REGISTRY:
-        from repro.pytracker.tracker import PythonTracker
-
-        register_tracker("python", PythonTracker)
-    if "python-mon" not in _REGISTRY:
-        from repro.pytracker.monitoring import MonitoringTracker
-
-        register_tracker("python-mon", MonitoringTracker)
-    if "python-subproc" not in _REGISTRY:
-        from repro.subproc.tracker import SubprocPythonTracker
-
-        register_tracker("python-subproc", SubprocPythonTracker)
-    if "gdb" not in _REGISTRY:
-        from repro.gdbtracker.tracker import GDBTracker
-
-        register_tracker("gdb", GDBTracker)
-    if "pt" not in _REGISTRY:
-        from repro.pytutor.pt_tracker import PTTracker
-
-        register_tracker("pt", PTTracker)
-    if "replay" not in _REGISTRY:
-        from repro.core.replay import ReplayTracker
-
-        register_tracker("replay", ReplayTracker)

@@ -47,7 +47,11 @@ import types
 from typing import Any, Iterator, List, Optional
 
 from repro.core.errors import BackendUnavailableError
-from repro.pytracker.tracker import PythonTracker, _KillInferior
+from repro.pytracker.tracker import (
+    PythonTracker,
+    _compile_program,
+    _KillInferior,
+)
 
 _monitoring = getattr(sys, "monitoring", None)
 
@@ -91,6 +95,10 @@ class MonitoringTracker(PythonTracker):
     """
 
     backend = "python-mon"
+
+    #: Fresh code objects per tracker: ``sys.monitoring`` local events are
+    #: set per code object, so a shared one would share its event masks.
+    _compile = staticmethod(_compile_program)
 
     def __init__(self, **kwargs: Any):
         if _monitoring is None:

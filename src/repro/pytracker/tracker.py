@@ -20,6 +20,16 @@ Implementation notes (Section II-C2 of the paper):
   can possibly fire in a frame, the engine lets the trace function return
   ``None`` on the frame's call event, disabling per-line tracing for the
   whole frame.
+- **The line gate.** ``_trace`` is the global hook and the full decision
+  path. Inferior frames get a small local *line hook* instead: on a line
+  event whose number is not in ``_gate`` it only notes the line and
+  returns. ``_gate`` is the engine's compiled set of breakpoint lines
+  while a plain ``resume`` runs with no watchpoint, address breakpoint or
+  pending interrupt, and an always-true set otherwise, so a free-running
+  line costs one set lookup. The tracker rewrites the gate wherever those
+  conditions change (a control call, an interrupt, ``terminate``, a
+  thread taking the pause handshake, the inferior's exit); the hook reads
+  it on every line, so no hook has to be swapped under a running frame.
 - **Threads.** ``threading.settrace`` installs the same trace function in
   every thread the inferior spawns; a thread is registered (stable index,
   0 = the thread executing module code) on its first traced call event in
@@ -37,6 +47,7 @@ Implementation notes (Section II-C2 of the paper):
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import threading
@@ -77,6 +88,81 @@ from repro.pytracker.introspect import (
 )
 
 _MISSING = object()
+
+
+class _AllLines:
+    """The closed line gate: every line goes to the full trace hook."""
+
+    __slots__ = ()
+
+    def __contains__(self, line: object) -> bool:
+        return True
+
+
+_ALL_LINES = _AllLines()
+
+
+def _compile_program(path: str, source: str):
+    """Compile an inferior as its own module: ``dont_inherit`` keeps this
+    file's ``__future__`` flags out of the program."""
+    return compile(source, path, "exec", dont_inherit=True)
+
+
+#: Code objects are immutable, so settrace trackers running one file share
+#: its compiled code; the key includes the source, so an edit recompiles.
+_compile_program_cached = functools.lru_cache(maxsize=16)(_compile_program)
+
+
+class _SharedHook:
+    """One process-wide hook slot that overlapping trackers share.
+
+    ``threading.settrace`` and ``threading.excepthook`` are global, but
+    trackers start and stop in any order (``TrackerGroup``, the service's
+    in-process sessions). The slot holds the newest live holder's hook; a
+    holder that leaves puts back the next older one, or the hook that was
+    there before the first holder, and only if the slot still holds its
+    own hook.
+    """
+
+    def __init__(self, read: Callable[[], Any], write: Callable[[Any], None]):
+        self._read = read
+        self._write = write
+        self._lock = threading.Lock()
+        self._holders: List[Any] = []
+        self._original: Any = None
+
+    def push(self, hook: Any) -> None:
+        with self._lock:
+            if not self._holders:
+                self._original = self._read()
+            self._holders.append(hook)
+            self._write(hook)
+
+    def remove(self, hook: Any) -> None:
+        # ``==``, not ``is``: a hook is a bound method, and each attribute
+        # access builds a new one.
+        with self._lock:
+            if hook not in self._holders:
+                return
+            self._holders.remove(hook)
+            if self._read() == hook:
+                self._write(self._holders[-1] if self._holders else self._original)
+
+    def below(self, hook: Any) -> Any:
+        """The hook that handles what ``hook`` does not: the next older
+        holder's, else the original."""
+        with self._lock:
+            for position, held in enumerate(self._holders):
+                if held == hook:
+                    return self._holders[position - 1] if position else self._original
+            return self._original
+
+
+_THREADING_TRACE = _SharedHook(threading.gettrace, threading.settrace)
+_EXCEPTHOOK = _SharedHook(
+    lambda: threading.excepthook,
+    lambda hook: setattr(threading, "excepthook", hook),
+)
 
 
 def _split_watch_path(name: str):
@@ -171,6 +257,9 @@ class PythonTracker(Tracker):
 
     backend = "python"
 
+    #: Turns ``(absolute path, source)`` into the program's code object.
+    _compile = staticmethod(_compile_program_cached)
+
     def __init__(
         self,
         capture_output: bool = False,
@@ -214,12 +303,17 @@ class PythonTracker(Tracker):
         self._paused_thread_index = 0
         #: OS ident of the thread owning the live pause handshake.
         self._paused_owner_ident: Optional[int] = None
-        self._saved_threading_trace: Any = None
-        self._saved_excepthook: Any = None
         self._stall_detector = StallDetector()
         #: Thread indexes the last stall verdict found blocked on locks;
         #: cleared when a real (handshake) pause lands.
         self._stall_blocked: set = set()
+        #: Lines the line hook hands to ``_trace`` (see the module notes).
+        self._gate: Any = _ALL_LINES
+        #: Line events the line hook took alone, and how many of them are
+        #: already in ``engine.stats`` (see :meth:`_fold_line_count`).
+        self._fast_lines = 0
+        self._folded_lines = 0
+        self._line_hook = self._make_line_hook()
 
     # ------------------------------------------------------------------
     # Lifecycle hooks
@@ -230,11 +324,11 @@ class PythonTracker(Tracker):
             raise ProgramLoadError(f"no such program: {path}")
         with open(path, "r", encoding="utf-8") as source:
             self._source_code = source.read()
+        self._program_abspath = os.path.abspath(path)
         try:
-            self._code = compile(self._source_code, os.path.abspath(path), "exec")
+            self._code = self._compile(self._program_abspath, self._source_code)
         except SyntaxError as error:
             raise ProgramLoadError(f"syntax error in {path}: {error}") from error
-        self._program_abspath = os.path.abspath(path)
 
     def _start(self) -> None:
         self.engine.arm("step")  # pause before the first executable line
@@ -262,6 +356,7 @@ class PythonTracker(Tracker):
                 return
             with self._condition:
                 self._killed = True
+                self._gate = _ALL_LINES
                 self._command = "kill"
                 self._condition.notify_all()
                 # A free-running inferior whose frames were untraced (the
@@ -308,26 +403,23 @@ class PythonTracker(Tracker):
     def _install_excepthook(self) -> None:
         """Route unhandled exceptions of inferior worker threads here.
 
-        ``threading.excepthook`` is process-global; the saved hook keeps
-        handling threads that are not this tracker's (including nested
-        trackers — each installed hook delegates unknown threads onward).
+        ``threading.excepthook`` is process-global; the hook below this
+        one keeps handling threads that are not this tracker's (including
+        other live trackers' — each installed hook delegates unknown
+        threads onward).
         """
-        self._saved_excepthook = threading.excepthook
-        threading.excepthook = self._thread_excepthook
+        _EXCEPTHOOK.push(self._thread_excepthook)
 
     def _remove_excepthook(self) -> None:
-        if self._saved_excepthook is not None:
-            if threading.excepthook is self._thread_excepthook:
-                threading.excepthook = self._saved_excepthook
-            self._saved_excepthook = None
+        _EXCEPTHOOK.remove(self._thread_excepthook)
 
     def _thread_excepthook(self, hook_args) -> None:
         ident = hook_args.thread.ident if hook_args.thread is not None else None
         index = self._thread_ids.get(ident) if ident is not None else None
         if index is None:
-            saved = self._saved_excepthook
-            if saved is not None:
-                saved(hook_args)
+            below = _EXCEPTHOOK.below(self._thread_excepthook)
+            if below is not None:
+                below(hook_args)
             return
         if hook_args.exc_type is _KillInferior:
             return  # terminate unwound the worker; silence is correct
@@ -384,6 +476,8 @@ class PythonTracker(Tracker):
             # step; resume is thread-agnostic.
             thread = self._paused_thread_index if mode != "resume" else None
             self.engine.arm(mode, depth, thread=thread)
+            self.engine.refresh()
+            self._open_gate()
             before = self._pause_count
             stalled = self._paused_event == "stall"
             self._command = "go"
@@ -474,8 +568,46 @@ class PythonTracker(Tracker):
         executes a traced event delivers the interrupt pause, so deadlines
         work even when the hot thread is a worker.
         """
+        # The flag goes up before the gate closes: _open_gate re-reads it
+        # after its own write, so a request racing a control call from
+        # another thread (or a signal handler) is never overwritten.
         self.engine.interrupt_requested = True
+        self._gate = _ALL_LINES
         self._retrace_live_frames()
+
+    def _open_gate(self) -> None:
+        """Set the line gate for the run mode the engine was just armed in.
+
+        Open (the compiled breakpoint lines) only for a plain ``resume``
+        with no watchpoint, no address breakpoint and no pending
+        interrupt, on a live inferior; every other line event needs the
+        full decision.
+        """
+        engine = self.engine
+        if engine.mode == "resume" and not (
+            engine.has_watchpoints
+            or engine.has_address_breakpoints
+            or self._killed
+            or self._finished
+        ):
+            self._gate = engine.breakpoint_lines
+            if not engine.interrupt_requested:
+                return
+        self._gate = _ALL_LINES
+
+    def _fold_line_count(self) -> None:
+        """Add the line hook's events to ``events_seen["line"]``.
+
+        Runs at every pause and at exit, the only times the stats are
+        read. The hook's counter only grows, so a sibling thread still
+        counting while this runs loses nothing.
+        """
+        counted = self._fast_lines
+        fresh = counted - self._folded_lines
+        if fresh:
+            self._folded_lines = counted
+            seen = self.engine.stats.events_seen
+            seen["line"] = seen.get("line", 0) + fresh
 
     def _retrace_live_frames(self) -> None:
         """Re-enable per-line tracing on every live inferior frame.
@@ -567,6 +699,7 @@ class PythonTracker(Tracker):
             thread_name=sample.name,
             details=details,
         )
+        self._fold_line_count()
         self.engine.note_event("stall")
         self.engine.record_pause(PauseReasonType.DEADLOCK_SUSPECTED)
         self.last_lineno = self.next_lineno
@@ -631,6 +764,8 @@ class PythonTracker(Tracker):
                 self.engine.stats.output_chars_dropped = self._output.dropped
                 self._exit_code = exit_code
                 self._finished = True
+                self._gate = _ALL_LINES
+                self._fold_line_count()
                 self._pause_reason = PauseReason(type=PauseReasonType.EXIT)
                 self.engine.note_event("exit")
                 self.engine.record_pause(PauseReasonType.EXIT)
@@ -649,8 +784,7 @@ class PythonTracker(Tracker):
         ``sys.monitoring`` event sets, which are interpreter-global and
         armed before the inferior thread even starts.
         """
-        self._saved_threading_trace = threading.gettrace()
-        threading.settrace(self._trace)
+        _THREADING_TRACE.push(self._trace)
         sys.settrace(self._trace)
         sys.setprofile(self._profile)
         self._guard_active = True
@@ -660,8 +794,7 @@ class PythonTracker(Tracker):
         self._guard_active = False
         sys.setprofile(None)
         sys.settrace(None)
-        threading.settrace(self._saved_threading_trace)
-        self._saved_threading_trace = None
+        _THREADING_TRACE.remove(self._trace)
 
     # ------------------------------------------------------------------
     # Thread registry
@@ -759,8 +892,29 @@ class PythonTracker(Tracker):
             self._saved_stdout = None
 
     # ------------------------------------------------------------------
-    # The trace function: every event goes to the engine's decision
+    # The trace functions: a gated line hook in front of the full one
     # ------------------------------------------------------------------
+
+    def _make_line_hook(self) -> Callable[[Any, str, Any], Any]:
+        """The local trace function of inferior frames (one per tracker).
+
+        A line not in the gate is only noted; every other event goes to
+        :meth:`_trace`. Only ``_trace`` and ``_retrace_live_frames``
+        install local hooks, both on inferior frames only, so the hook
+        needs no filename check.
+        """
+        trace = self._trace
+
+        def line_hook(frame, event: str, arg: Any):
+            if event == "line":
+                line = frame.f_lineno
+                if line not in self._gate:
+                    self.next_lineno = line
+                    self._fast_lines += 1
+                    return line_hook
+            return trace(frame, event, arg)
+
+        return line_hook
 
     def _trace(self, frame, event: str, arg: Any):
         if self._killed or self._finished:
@@ -796,7 +950,11 @@ class PythonTracker(Tracker):
                 return None
         elif event == "line" or event == "return":
             self._decide(frame, event, arg)
-        return self._trace
+        # A closed gate sends every line here anyway: hold this hook
+        # directly rather than pay the line hook's extra call.
+        if self._gate is _ALL_LINES:
+            return self._trace
+        return self._line_hook
 
     def _park(self, frame) -> None:
         """Block the calling thread while another thread's pause is live."""
@@ -944,6 +1102,8 @@ class PythonTracker(Tracker):
                 raise _KillInferior()
             self._pause_active = True
             self._paused_owner_ident = ident
+            self._gate = _ALL_LINES
+            self._fold_line_count()
             # The tool owns the console while a pause is live, so the
             # capture ring is swapped out here — strictly after winning the
             # handshake (a queued thread toggling would unbalance the swap)

@@ -1,5 +1,8 @@
 """Tests for the Python tracker's control interface (Section II-C2)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.core.errors import ProgramLoadError
@@ -393,3 +396,179 @@ class TestOutputCapture:
         tracker.resume()
         tracker.terminate()
         assert tracker.get_output() == ""
+
+
+GATED_LOOP = """\
+total = 0
+hits = 0
+for i in range({n}):
+    total += i % 7
+    if i % {period} == 0:
+        hits += 1
+done = total
+"""
+
+SPIN = """\
+n = 0
+while True:
+    n += 1
+"""
+
+CALLEE_IN_LOOP = """\
+def callee(x):
+    y = x + 1
+    return y
+
+total = 0
+for i in range(3):
+    total += callee(i)
+    total += 1
+done = total
+"""
+
+
+def gated_line_count(n, period):
+    """Line events of GATED_LOOP, in closed form: the two assignments, the
+    ``for`` header once per iteration plus the exit test, the two body
+    lines per iteration, the sparse branch, and the final line."""
+    hits = len(range(0, n, period))
+    return 2 + (n + 1) + 2 * n + hits + 1
+
+
+class TestLineGate:
+    """A plain ``resume`` runs inferior lines through the gated line hook;
+    everything that can pause must still reach the full trace hook."""
+
+    def test_deadline_interrupt_lands_in_a_call_free_loop(
+        self, tracker, write_program
+    ):
+        tracker.load_program(write_program("spin.py", SPIN))
+        tracker.start()
+        tracker.resume(timeout=0.3)
+        reason = tracker.pause_reason
+        assert reason.type is PauseReasonType.INTERRUPT
+        assert tracker.next_lineno in (2, 3)
+        assert tracker.get_stats().interrupts == 1
+
+    def test_terminate_kills_a_call_free_loop_promptly(self, write_program):
+        tracker = PythonTracker(terminate_grace=5.0)
+        tracker.load_program(write_program("spin.py", SPIN))
+        tracker.start()
+        resumer = threading.Thread(target=tracker.resume, daemon=True)
+        resumer.start()
+        time.sleep(0.2)  # the loop is now free-running on the line hook
+        begin = time.monotonic()
+        tracker.terminate()
+        resumer.join(timeout=5.0)
+        assert time.monotonic() - begin < 2.0
+        assert not resumer.is_alive()
+        assert tracker.health == "ok"
+        assert tracker.get_exit_code() == -9
+
+    def test_finish_and_next_stop_in_the_fast_caller(
+        self, tracker, write_program
+    ):
+        tracker.load_program(write_program("p.py", CALLEE_IN_LOOP))
+        tracker.break_before_line(2)
+        tracker.start()
+        tracker.resume()
+        assert tracker.pause_reason.type is PauseReasonType.BREAKPOINT
+        assert tracker.get_current_frame().name == "callee"
+        tracker.finish()
+        assert tracker.get_current_frame().name == "<module>"
+        assert tracker.next_lineno == 8
+        tracker.resume()
+        assert tracker.get_current_frame().name == "callee"
+        tracker.next()
+        assert tracker.next_lineno == 3
+        tracker.next()
+        assert tracker.get_current_frame().name == "<module>"
+        assert tracker.next_lineno == 8
+
+    def test_breakpoint_added_while_paused_fires(self, tracker, write_program):
+        tracker.load_program(
+            write_program("p.py", GATED_LOOP.format(n=50, period=10))
+        )
+        tracker.break_before_line(6)
+        tracker.start()
+        tracker.resume()
+        assert tracker.next_lineno == 6
+        tracker.break_before_line(4)
+        tracker.resume()
+        assert tracker.pause_reason.type is PauseReasonType.BREAKPOINT
+        assert tracker.next_lineno == 4
+
+    def test_watch_added_while_paused_fires(self, tracker, write_program):
+        tracker.load_program(
+            write_program("p.py", GATED_LOOP.format(n=50, period=10))
+        )
+        tracker.break_before_line(6)
+        tracker.start()
+        tracker.resume()
+        assert tracker.next_lineno == 6
+        tracker.watch("hits")
+        tracker.resume()
+        reason = tracker.pause_reason
+        assert reason.type is PauseReasonType.WATCH
+        assert (reason.old_value, reason.new_value) == ("0", "1")
+        assert tracker.next_lineno == 3  # the line right after the change
+
+    def test_line_events_match_the_closed_form(self, tracker, write_program):
+        n, period = 3000, 256
+        tracker.load_program(
+            write_program("p.py", GATED_LOOP.format(n=n, period=period))
+        )
+        tracker.break_before_line(6)
+        tracker.start()
+        reasons = run_to_end(tracker)
+        assert len(reasons) == len(range(0, n, period)) + 1  # hits + exit
+        stats = tracker.get_stats()
+        assert stats.events_seen["line"] == gated_line_count(n, period)
+        # The start pause is a step pause on line 1, then one per hit.
+        assert stats.events_paused["line"] == len(range(0, n, period)) + 1
+
+    def test_last_lineno_after_a_fast_stretch(self, tracker, write_program):
+        tracker.load_program(
+            write_program("p.py", GATED_LOOP.format(n=600, period=256))
+        )
+        tracker.break_before_line(6)
+        tracker.start()
+        tracker.resume()
+        tracker.resume()  # i == 256: 256 loop iterations ran free
+        assert tracker.pause_reason.type is PauseReasonType.BREAKPOINT
+        assert (tracker.last_lineno, tracker.next_lineno) == (5, 6)
+
+
+class TestProgramCompile:
+    def test_program_does_not_inherit_future_flags(
+        self, tracker, write_program
+    ):
+        """The inferior is its own module: annotations are evaluated, as
+        under ``python``, not stringified by the tracker's own
+        ``from __future__ import annotations``."""
+        source = "def f(x: int):\n    pass\n\nann = f.__annotations__\n"
+        tracker.load_program(write_program("ann.py", source))
+        tracker.start()
+        run_to_end(tracker)
+        assert tracker._globals["ann"] == {"x": int}
+
+    def test_trackers_on_one_file_share_the_code(self, write_program):
+        path = write_program("p.py", COUNT)
+        first, second = PythonTracker(), PythonTracker()
+        first.load_program(path)
+        second.load_program(path)
+        assert first._code is second._code
+
+    def test_edited_file_recompiles(self, write_program):
+        path = write_program("p.py", COUNT)
+        first = PythonTracker()
+        first.load_program(path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("d = c * 2\n")
+        second = PythonTracker()
+        second.load_program(path)
+        assert first._code is not second._code
+        second.start()
+        run_to_end(second)
+        assert second._globals["d"] == 6
+        second.terminate()

@@ -14,6 +14,7 @@ pauses land on worker threads. Deadlock detection has its own suite
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -105,6 +106,28 @@ def run_to_exit(tracker, limit=100):
         if tracker.get_exit_code() is None:
             reasons.append(tracker.pause_reason)
     return reasons
+
+
+#: A worker spinning in a call-free loop (on the settrace backend it runs
+#: on the gated line hook) while the main thread reaches a breakpoint.
+SPINNER = """\
+import threading
+import time
+
+stop = False
+spins = 0
+
+def spin():
+    global spins
+    while not stop:
+        spins += 1
+
+worker = threading.Thread(target=spin, name="spinner")
+worker.start()
+time.sleep(0.2)
+stop = True
+worker.join()
+"""
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -300,3 +323,73 @@ class TestFinishedTrackerSparesUnrelatedThreads:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert ran == [True]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_free_running_sibling_parks_during_an_all_stop_pause(
+    backend, write_program
+):
+    """While the main thread owns a pause, a worker spinning without calls
+    parks at its next line and stops counting."""
+    tracker = make_tracker(backend)
+    tracker.load_program(write_program("spin.py", SPINNER))
+    tracker.break_before_line(15)  # stop = True
+    tracker.start()
+    try:
+        tracker.resume(timeout=30.0)
+        assert tracker.pause_reason.type is PauseReasonType.BREAKPOINT
+        assert tracker.pause_reason.thread == 0
+        deadline = time.monotonic() + 5.0
+        states = {}
+        while time.monotonic() < deadline:
+            states = {info.name: info.state for info in tracker.get_threads()}
+            if states.get("spinner") == THREAD_PARKED:
+                break
+            time.sleep(0.01)
+        assert states.get("spinner") == THREAD_PARKED
+        spins = tracker._globals["spins"]
+        assert spins > 0
+        time.sleep(0.1)
+        assert tracker._globals["spins"] == spins
+        tracker.resume(timeout=30.0)
+        assert tracker.get_exit_code() == 0
+    finally:
+        tracker.terminate()
+
+
+class TestProcessWideHooks:
+    """``threading.excepthook`` and ``threading.settrace`` are global; a
+    tracker must hand them back however trackers overlap."""
+
+    def test_terminate_restores_excepthook_and_frees_the_tracker(
+        self, write_program
+    ):
+        import gc
+        import weakref
+
+        original = threading.excepthook
+        tracker = PythonTracker()
+        tracker.load_program(write_program("p.py", "a = 1\nb = 2\n"))
+        tracker.start()
+        tracker.terminate()
+        assert threading.excepthook is original
+        ref = weakref.ref(tracker)
+        del tracker
+        gc.collect()
+        assert ref() is None
+
+    def test_overlapping_trackers_restore_hooks_in_any_order(
+        self, write_program
+    ):
+        original_trace = threading.gettrace()
+        original_hook = threading.excepthook
+        path = write_program("p.py", "a = 1\nb = 2\n")
+        first, second = PythonTracker(), PythonTracker()
+        for tracker in (first, second):
+            tracker.load_program(path)
+            tracker.start()
+        first.terminate()
+        assert threading.gettrace() == second._trace
+        second.terminate()
+        assert threading.gettrace() == original_trace
+        assert threading.excepthook is original_hook

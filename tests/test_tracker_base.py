@@ -227,3 +227,37 @@ class TestFactory:
     def test_custom_backend_registration(self):
         register_tracker("fake-test", _FakeTracker)
         assert init_tracker("fake-test").backend == "fake"
+
+    def test_building_one_backend_imports_only_that_backend(self):
+        """Package re-exports and built-in backends resolve on first use:
+        a settrace tool loads no mini-C, RISC-V, tool or MI server code,
+        and every exported name still resolves."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from repro import init_tracker\n"
+            "init_tracker('python')\n"
+            "heavy = ('repro.minic', 'repro.riscv', 'repro.tools',"
+            " 'repro.mi.server')\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith(heavy))\n"
+            "assert not loaded, loaded\n"
+            "import repro, repro.mi\n"
+            "for package in (repro, repro.mi):\n"
+            "    for name in package.__all__:\n"
+            "        getattr(package, name)\n"
+            "    assert set(package.__all__) <= set(dir(package))\n"
+        )
+        source = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(source, "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
