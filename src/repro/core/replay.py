@@ -18,11 +18,10 @@ are native motions here rather than a rewind overlay.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.errors import NotPausedError, ProgramLoadError, TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import AbstractType, Frame, Variable
 from repro.core.timeline import (
     EVENT_CALL,
     EVENT_EXIT,
@@ -144,10 +143,7 @@ class ReplayTracker(Tracker):
         variable = snapshot.lookup(name, function)
         if variable is None:
             return None
-        value = variable.value
-        while value.abstract_type is AbstractType.REF:
-            value = value.content
-        return value.render()
+        return variable.value.chase().render()
 
     def _mark_pause(self, reason: PauseReason) -> None:
         self._pause_reason = reason
@@ -184,6 +180,7 @@ class ReplayTracker(Tracker):
     def _seek_timeline(self, index: int) -> None:
         snapshot = self._timeline.snapshot(index)
         self._index = index
+        self._paused_state = None
         self.engine.record_pause(PauseReasonType.STEP)
         self._apply_snapshot_pause(snapshot)
 
@@ -201,21 +198,10 @@ class ReplayTracker(Tracker):
     # Inspection, served from the recorded snapshots
     # ------------------------------------------------------------------
 
-    def _get_current_frame(self) -> Frame:
-        frame = self._snap().frame
-        if frame is None:
-            raise NotPausedError("this snapshot recorded no frames")
-        return frame
-
-    def _get_global_variables(self) -> Dict[str, Variable]:
-        return dict(self._snap().globals)
-
-    def _get_position(self) -> Tuple[str, Optional[int]]:
+    def _capture(self) -> StateSnapshot:
         snapshot = self._snap()
-        return (
-            snapshot.filename or self._program or "<timeline>",
-            snapshot.line,
-        )
+        snapshot.filename = snapshot.filename or self._program or "<timeline>"
+        return snapshot
 
     def get_source_lines(self) -> List[str]:
         """The recorded program source, embedded in the timeline."""
@@ -223,6 +209,5 @@ class ReplayTracker(Tracker):
             return self._timeline.source.splitlines()
         return super().get_source_lines()
 
-    def get_output(self) -> str:
-        """Inferior stdout recorded up to the current snapshot."""
+    def _get_output(self) -> str:
         return self._snap().stdout

@@ -63,6 +63,10 @@ class Location(enum.Enum):
     UNKNOWN = "unknown"
 
 
+#: The most ``REF`` links :meth:`Value.chase` follows.
+MAX_REF_CHAIN = 64
+
+
 @dataclass(eq=False)  # identity equality/hash: Values are usable as DICT keys
 class Value:
     """A single value in the inferior, in the language-agnostic model.
@@ -106,6 +110,17 @@ class Value:
         if self.abstract_type is not AbstractType.REF:
             raise ValueError(f"cannot deref a {self.abstract_type.name} value")
         return self.content
+
+    def chase(self) -> "Value":
+        """Follow ``REF`` links to the value they end at (this value if it
+        is not a ``REF``). A chain longer than :data:`MAX_REF_CHAIN` links
+        stops there, so a cyclic one cannot hang."""
+        value = self
+        for _ in range(MAX_REF_CHAIN):
+            if value.abstract_type is not AbstractType.REF:
+                break
+            value = value.content
+        return value
 
     def elements(self) -> Tuple["Value", ...]:
         """Return the elements of a ``LIST`` value.

@@ -213,41 +213,42 @@ class StateSnapshot:
 
     @classmethod
     def capture(cls, tracker: Any) -> "StateSnapshot":
-        """Capture the current state of a started tracker.
+        """Capture the current state of a started tracker from its backend.
 
         Works at any lifecycle point after ``start``: a paused inferior
         yields a full snapshot; a terminated one (on a backend without
-        post-exit inspection) yields a frameless exit snapshot.
+        post-exit inspection) yields a frameless exit snapshot. Tools call
+        :meth:`Tracker.snapshot` instead, which captures through here once
+        per pause and shares the result.
         """
         exit_code = tracker.get_exit_code()
         reason = tracker.pause_reason
-        stdout = ""
-        get_output = getattr(tracker, "get_output", None)
-        if callable(get_output):
-            try:
-                stdout = get_output() or ""
-            except TrackerError:
-                stdout = ""
+        try:
+            stdout = tracker._get_output() or ""
+        except TrackerError:
+            stdout = ""
         if exit_code is not None and not tracker._allows_post_exit_inspection():
             return cls(
                 frame=None,
-                globals={},
                 filename=tracker._program or "",
-                line=None,
-                depth=0,
                 stdout=stdout,
                 exit_code=exit_code,
                 reason=reason,
                 event=EVENT_EXIT,
             )
-        frame = tracker.get_current_frame()
-        filename, line = tracker.get_position()
+        frame = tracker._get_current_frame()
+        # The innermost frame is where the inferior paused; only a backend
+        # whose frames record no position is asked for it separately.
+        if frame.filename and frame.line is not None:
+            filename, line = frame.filename, frame.line
+        else:
+            filename, line = tracker._get_position()
         thread = reason.thread if reason is not None else None
         if thread is None and frame is not None:
             thread = frame.thread
         return cls(
             frame=frame,
-            globals=dict(tracker.get_global_variables()),
+            globals=dict(tracker._get_global_variables()),
             filename=filename,
             line=line,
             depth=frame.depth,
@@ -758,10 +759,15 @@ class TimelineRecorder:
         )
 
     def record(self) -> int:
-        """Capture and append the tracker's current state; return its index."""
+        """Append the tracker's paused state; return its index.
+
+        The state is the one :meth:`Tracker.snapshot` shares with every
+        inspection call of this pause, so recording and inspecting the
+        same pause capture it once.
+        """
         if not self.timeline.source:
             self._capture_source()
-        return self.timeline.append(StateSnapshot.capture(self.tracker))
+        return self.timeline.append(self.tracker.snapshot())
 
     def _capture_source(self) -> None:
         if not self.timeline.program:

@@ -206,11 +206,7 @@ def _render_value_tree(data: Any) -> Optional[str]:
         value = value_from_dict(data)
     except (KeyError, TypeError, ValueError):
         return None
-    seen = 0
-    while value.abstract_type is AbstractType.REF and seen < 64:
-        value = value.content
-        seen += 1
-    return value.render()
+    return value.chase().render()
 
 
 def _render_reason_payload(payload: Any) -> Optional[str]:
@@ -1010,7 +1006,7 @@ class TimelineView:
             variable = snapshot.lookup(var, function)
             rendered = None
             if variable is not None:
-                rendered = _render_value_tree_from_value(variable.value)
+                rendered = variable.value.chase().render()
             events.append(
                 ChangeEvent(
                     index=position,
@@ -1196,15 +1192,6 @@ class TimelineView:
         self._require_tracker()._backward("resume")
 
 
-def _render_value_tree_from_value(value: Any) -> Optional[str]:
-    """Render a model :class:`Value`, chasing references first."""
-    seen = 0
-    while value is not None and value.abstract_type is AbstractType.REF and seen < 64:
-        value = value.content
-        seen += 1
-    return value.render() if value is not None else None
-
-
 def _predicate_value(
     snapshot: StateSnapshot,
     var: str,
@@ -1215,11 +1202,7 @@ def _predicate_value(
     variable = snapshot.lookup(var, function)
     if variable is None:
         return None
-    value = variable.value
-    seen = 0
-    while value.abstract_type is AbstractType.REF and seen < 64:
-        value = value.content
-        seen += 1
+    value = variable.value.chase()
     if use_len:
         kind = value.abstract_type
         if kind in (

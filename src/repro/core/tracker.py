@@ -179,6 +179,10 @@ class Tracker:
         #: Global timeline index while rewound into history; ``None`` when
         #: the tracker is live at the newest state (the normal case).
         self._replay_cursor: Optional[int] = None
+        #: The paused state every inspection call reads (see
+        #: :meth:`snapshot`): captured once per pause on first use, the
+        #: recorded snapshot while rewound, ``None`` until then.
+        self._paused_state: Optional[StateSnapshot] = None
 
     # ------------------------------------------------------------------
     # Program lifecycle
@@ -268,7 +272,8 @@ class Tracker:
 
     @contextlib.contextmanager
     def _supervised(self, timeout: Optional[float]):
-        """Install the control-call deadline for the duration of a hook.
+        """Install the control-call deadline for the duration of a hook,
+        and drop the paused state when the hook returns or raises.
 
         Deadline-aware backends read :attr:`_control_deadline` inside
         their blocking waits; backends that never block (trace replay)
@@ -282,6 +287,9 @@ class Tracker:
             yield
         finally:
             self._control_deadline = None
+            # The hook moved the inferior: the next inspection captures
+            # the new pause.
+            self._paused_state = None
 
     def terminate(self) -> None:
         """Kill the inferior and release all tracker resources.
@@ -295,6 +303,7 @@ class Tracker:
                 self._trace_store.close()
             self._terminate()
             self._terminated = True
+            self._paused_state = None
 
     def get_exit_code(self) -> Optional[int]:
         """Exit code of the inferior, or ``None`` while it is still alive.
@@ -543,10 +552,16 @@ class Tracker:
         return len(self._require_timeline()) - 1
 
     def _seek_timeline(self, index: int) -> None:
-        """Move the time-travel cursor; at the newest snapshot, go live."""
+        """Move the time-travel cursor; at the newest snapshot, go live.
+
+        While rewound, the recorded snapshot *is* the paused state that
+        inspection reads; going live drops it, so the next inspection
+        captures the live inferior again.
+        """
         timeline = self._require_timeline()
         snapshot = timeline.snapshot(index)
         self._replay_cursor = None if index >= len(timeline) - 1 else index
+        self._paused_state = None if self._replay_cursor is None else snapshot
         self._apply_snapshot_pause(snapshot)
 
     def _apply_snapshot_pause(self, snapshot: StateSnapshot) -> None:
@@ -557,12 +572,6 @@ class Tracker:
         )
         self.last_lineno = self.next_lineno
         self.next_lineno = snapshot.line
-
-    def _replay_snapshot(self) -> Optional[StateSnapshot]:
-        """The snapshot inspection should serve, or ``None`` when live."""
-        if self._replay_cursor is None:
-            return None
-        return self._require_timeline().snapshot(self._replay_cursor)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -606,30 +615,31 @@ class Tracker:
     def snapshot(self) -> StateSnapshot:
         """The unified inspection call: everything about the paused state.
 
-        One :class:`StateSnapshot` bundles what previously took the
-        ``get_frames`` / ``get_global_variables`` / ``get_position`` /
-        ``get_source_lines`` quartet (which remain as thin views over the
-        same data). The snapshot is immutable and serializable — the same
-        type the timeline recorder stores — so it can be kept, diffed and
-        shipped across processes. While rewound into history, this returns
-        the recorded snapshot at the cursor.
+        One :class:`StateSnapshot` bundles what the ``get_frames`` /
+        ``get_global_variables`` / ``get_position`` / ``get_output``
+        calls return; they all read this same object. It is captured
+        once per pause, on the first inspection call, and dropped when
+        the inferior moves (every control call, ``start``, a timeline
+        seek, ``terminate``). While rewound into history it is the
+        recorded snapshot at the cursor. The snapshot is serializable —
+        the same type the timeline recorder stores.
+
+        Objects returned at one pause (this snapshot, its frames, values
+        and globals) are shared by every inspection call of that pause:
+        treat them as read-only.
         """
-        replayed = self._replay_snapshot()
-        if replayed is not None:
-            return replayed
         if not self._started:
             raise NotStartedError("call start() first")
-        return StateSnapshot.capture(self)
+        if self._paused_state is None:
+            self._paused_state = self._capture()
+        return self._paused_state
 
     def get_current_frame(self) -> Frame:
         """The innermost frame of the paused inferior (parents linked)."""
-        replayed = self._replay_snapshot()
-        if replayed is not None:
-            if replayed.frame is None:
-                raise NotPausedError("this snapshot recorded no frames")
-            return replayed.frame
-        self._require_paused()
-        return self._get_current_frame()
+        frame = self._paused().frame
+        if frame is None:
+            raise NotPausedError("this snapshot recorded no frames")
+        return frame
 
     def get_frames(self) -> List[Frame]:
         """All frames, innermost first (a convenience over the parent chain)."""
@@ -637,11 +647,7 @@ class Tracker:
 
     def get_global_variables(self) -> Dict[str, Variable]:
         """The inferior's global variables."""
-        replayed = self._replay_snapshot()
-        if replayed is not None:
-            return dict(replayed.globals)
-        self._require_paused()
-        return self._get_global_variables()
+        return dict(self._paused().globals)
 
     def get_variable(
         self, name: str, function: Optional[str] = None
@@ -656,25 +662,30 @@ class Tracker:
         Returns:
             The variable, or ``None`` if no such name is visible.
         """
-        if self._replay_cursor is None:
-            self._require_paused()
-        if function is not None:
-            for frame in self.get_frames():
-                if frame.name == function:
-                    return frame.lookup(name)
-            return None
-        found = self.get_current_frame().lookup(name)
-        if found is not None:
-            return found
-        return self.get_global_variables().get(name)
+        self.get_current_frame()  # raises when no frame is paused
+        return self._paused().lookup(name, function)
 
     def get_position(self) -> Tuple[str, Optional[int]]:
-        """``(filename, next line to execute)`` of the paused inferior."""
-        replayed = self._replay_snapshot()
-        if replayed is not None:
-            return replayed.position()
+        """``(filename, next line to execute)`` of the paused inferior.
+
+        A live backend reads it directly, so it never forces a capture.
+        """
         self._require_paused()
-        return self._get_position()
+        state = self._paused_state
+        return state.position() if state is not None else self._get_position()
+
+    def get_output(self) -> str:
+        """Everything the inferior printed up to the current pause.
+
+        Read from the backend directly, so it never forces a capture.
+        """
+        state = self._paused_state
+        return state.stdout if state is not None else self._get_output()
+
+    def _paused(self) -> StateSnapshot:
+        """The paused state, for the inspection calls that need a pause."""
+        self._require_paused()
+        return self.snapshot()
 
     # ------------------------------------------------------------------
     # Thread & asyncio inspection
@@ -765,6 +776,14 @@ class Tracker:
     def _terminate(self) -> None:
         raise NotImplementedError
 
+    def _capture(self) -> StateSnapshot:
+        """Capture the live paused state (called once per pause).
+
+        A backend whose states are recorded (trace replay) overrides this
+        and needs none of the frame, globals and position hooks below.
+        """
+        return StateSnapshot.capture(self)
+
     def _get_current_frame(self) -> Frame:
         raise NotImplementedError
 
@@ -772,7 +791,11 @@ class Tracker:
         raise NotImplementedError
 
     def _get_position(self) -> Tuple[str, Optional[int]]:
-        raise NotImplementedError
+        return self.snapshot().position()
+
+    def _get_output(self) -> str:
+        """Inferior output so far ("" when the backend captures none)."""
+        return ""
 
     def _control_points_changed(self) -> None:
         """Notify the backend that control points were added or removed.

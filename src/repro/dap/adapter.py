@@ -420,7 +420,7 @@ class DebugAdapter:
         variable = self.tracker.get_variable(name, function)
         if variable is None:
             return [self._error(request, f"cannot evaluate {expression!r}")]
-        chased = _chase(variable.value)
+        chased = variable.value.chase()
         return [
             self._ok(
                 request,
@@ -443,7 +443,7 @@ class DebugAdapter:
         return reference
 
     def _render_variable(self, variable: Variable) -> Dict[str, Any]:
-        value = _chase(variable.value)
+        value = variable.value.chase()
         return {
             "name": variable.name,
             "value": value.render(),
@@ -472,12 +472,6 @@ class DebugAdapter:
         if not children:
             return 0
         return self._register(children)
-
-
-def _chase(value: Value) -> Value:
-    while value.abstract_type is AbstractType.REF:
-        value = value.content
-    return value
 
 
 def serve(input_stream: BinaryIO, output_stream: BinaryIO) -> None:

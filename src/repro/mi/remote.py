@@ -363,11 +363,7 @@ class MIRemoteTracker(Tracker):
             return local
         return local.merged(TrackerStats.from_dict(payload))
 
-    def get_output(self) -> str:
-        """Everything the inferior printed so far."""
-        replayed = self._replay_snapshot()
-        if replayed is not None:
-            return replayed.stdout
+    def _get_output(self) -> str:
         return "".join(self._client.console)
 
     def list_functions(self) -> List[str]:

@@ -136,8 +136,7 @@ class InferiorTracker(Tracker):
     def _get_position(self) -> Tuple[str, Optional[int]]:
         return self.inferior.filename, self.next_lineno
 
-    def get_output(self) -> str:
-        """Everything the inferior printed so far."""
+    def _get_output(self) -> str:
         return self._stdout
 
     # -- the run loop -------------------------------------------------------

@@ -79,6 +79,7 @@ from repro.core.threads import (
     TaskInfo,
     ThreadInfo,
 )
+from repro.core.timeline import StateSnapshot
 from repro.core.tracker import Tracker
 from repro.pytracker.introspect import (
     CaptureLimits,
@@ -286,6 +287,8 @@ class PythonTracker(Tracker):
         self._killed = False
         self._paused_py_frame = None
         self._paused_event: Optional[str] = None
+        #: The snapshotter of the capture in progress (see ``_capture``).
+        self._capture_values: Optional[Snapshotter] = None
         self._inferior_exception: Optional[BaseException] = None
         self._saved_stdout = None
         # -- thread dimension ------------------------------------------
@@ -1141,14 +1144,23 @@ class PythonTracker(Tracker):
     # ------------------------------------------------------------------
 
     def _snapshotter(self) -> Snapshotter:
-        """A fresh per-pause snapshotter honoring this tracker's bounds."""
+        """A fresh snapshotter honoring this tracker's capture bounds."""
         return Snapshotter(
             max_depth=self._snapshot_depth, limits=self._capture_limits
         )
 
+    def _capture(self) -> StateSnapshot:
+        # One snapshotter per capture: the module frame's locals *are* the
+        # globals dict, so a global read from either side is one Value.
+        self._capture_values = self._snapshotter()
+        try:
+            return super()._capture()
+        finally:
+            self._capture_values = None
+
     def _get_current_frame(self) -> Frame:
         chain = build_frame_chain(
-            self._paused_py_frame, self._is_inferior_frame, self._snapshotter()
+            self._paused_py_frame, self._is_inferior_frame, self._capture_values
         )
         self._tag_thread(chain, self._paused_thread_index)
         return chain
@@ -1161,7 +1173,7 @@ class PythonTracker(Tracker):
             chain = chain.parent
 
     def _get_global_variables(self) -> Dict[str, Variable]:
-        return build_globals(self._globals, self._snapshotter())
+        return build_globals(self._globals, self._capture_values)
 
     def _get_position(self) -> Tuple[str, Optional[int]]:
         frame = self._paused_py_frame
@@ -1323,11 +1335,7 @@ class PythonTracker(Tracker):
         infos.sort(key=lambda info: info.name)
         return infos
 
-    def get_output(self) -> str:
-        """Everything printed by the inferior so far (``capture_output``)."""
-        replayed = self._replay_snapshot()
-        if replayed is not None:
-            return replayed.stdout
+    def _get_output(self) -> str:
         return self._output.getvalue()
 
     def get_inferior_exception(self) -> Optional[BaseException]:

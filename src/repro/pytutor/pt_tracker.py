@@ -18,19 +18,16 @@ lose) and watch rendering over the raw PT encoding.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.errors import ProgramLoadError
 from repro.core.replay import ReplayTracker
-from repro.core.state import Frame, Variable
 from repro.core.timeline import StateSnapshot
-from repro.pytutor.timeline_codec import timeline_from_pt_trace
-from repro.pytutor.trace import (
-    PTStep,
-    PTTrace,
-    step_globals,
-    step_to_frame_chain,
+from repro.pytutor.timeline_codec import (
+    snapshot_from_pt_step,
+    timeline_from_pt_trace,
 )
+from repro.pytutor.trace import PTStep, PTTrace
 
 
 class PTTracker(ReplayTracker):
@@ -86,19 +83,14 @@ class PTTracker(ReplayTracker):
     # Inspection decoded directly from the recorded steps
     # ------------------------------------------------------------------
 
-    def _get_current_frame(self) -> Frame:
-        return step_to_frame_chain(self._current_step())
-
-    def _get_global_variables(self) -> Dict[str, Variable]:
-        return step_globals(self._current_step())
-
-    def _get_position(self) -> Tuple[str, Optional[int]]:
-        return self._program or "<trace>", self._current_step().line
+    def _capture(self) -> StateSnapshot:
+        snapshot = snapshot_from_pt_step(self._current_step())
+        snapshot.filename = self._program or "<trace>"
+        return snapshot
 
     def get_source_lines(self) -> List[str]:
         """The traced program's source, embedded in the trace itself."""
         return self.trace.code.splitlines()
 
-    def get_output(self) -> str:
-        """Inferior stdout recorded up to the current step."""
+    def _get_output(self) -> str:
         return self._current_step().stdout

@@ -188,7 +188,7 @@ class ServiceClient:
         if tls or tls_ca:
             client._ssl = _client_ssl_context(tls_ca)
         client._reconnect_policy = reconnect
-        await client._establish()
+        await client._establish_with_backoff()
         client._ready.set()
         client._reader_task = asyncio.ensure_future(client._run())
         return client
@@ -307,31 +307,37 @@ class ServiceClient:
         if queue is not None:  # a closed session's late record is dropped
             queue.put_nowait(record)
 
-    async def _reconnect(self) -> bool:
-        """Bounded-backoff reconnect + re-attach; whether it succeeded."""
-        delays = [0.0] + list(self._reconnect_policy.delays())
-        for delay in delays:
-            if delay:
-                await asyncio.sleep(delay)
+    async def _establish_with_backoff(self) -> None:
+        """Establish and re-attach, retried on the reconnect policy: at
+        once, then after each backoff delay. A wrong token is fatal at
+        once; otherwise the last attempt's error propagates."""
+        policy = self._reconnect_policy
+        delays = [0.0] + (list(policy.delays()) if policy is not None else [])
+        for attempt, delay in enumerate(delays, 1):
+            await asyncio.sleep(delay)
             if self._closed:
-                return False
+                raise _connection_lost("was closed by the client")
             try:
                 await self._establish()
                 await self._reattach()
+                return
             except ServiceAuthError:
-                return False  # the token is wrong; retrying won't help
-            except (
-                OSError,
-                TrackerError,
-                asyncio.TimeoutError,
-            ):
+                raise
+            except (OSError, TrackerError, asyncio.TimeoutError):
                 if self._writer is not None:
                     self._writer.close()
                     self._writer = None
-                continue
-            self._ready.set()
-            return True
-        return False
+                if attempt == len(delays):
+                    raise
+
+    async def _reconnect(self) -> bool:
+        """Bounded-backoff reconnect + re-attach; whether it succeeded."""
+        try:
+            await self._establish_with_backoff()
+        except (OSError, TrackerError, asyncio.TimeoutError):
+            return False
+        self._ready.set()
+        return True
 
     async def _reattach(self) -> None:
         """Re-adopt every open session on the fresh connection.

@@ -29,15 +29,12 @@ MARKER_COLORS = ["#c0392b", "#27ae60", "#8e44ad", "#d35400"]
 
 def extract_array(value: Value) -> Optional[List[object]]:
     """Pull a flat Python list out of a model value (REF/LIST chase)."""
-    if value.abstract_type is AbstractType.REF:
-        return extract_array(value.content)
+    value = value.chase()
     if value.abstract_type is not AbstractType.LIST:
         return None
     items: List[object] = []
     for element in value.content:
-        inner = element
-        while inner.abstract_type is AbstractType.REF:
-            inner = inner.content
+        inner = element.chase()
         if inner.abstract_type is AbstractType.PRIMITIVE:
             items.append(inner.content)
         elif inner.abstract_type is AbstractType.NONE:
@@ -184,9 +181,7 @@ class ArrayInvariantTool:
 def _as_int(variable) -> Optional[int]:
     if variable is None:
         return None
-    value = variable.value
-    while value.abstract_type is AbstractType.REF:
-        value = value.content
+    value = variable.value.chase()
     if value.abstract_type is AbstractType.PRIMITIVE and isinstance(
         value.content, int
     ):

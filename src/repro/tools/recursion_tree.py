@@ -141,10 +141,7 @@ def _gather_args(
         if variable is None:
             args[name] = "?"
             continue
-        value = variable.value
-        while value.abstract_type.value == "ref":
-            value = value.content
-        args[name] = value.render()
+        args[name] = variable.value.chase().render()
     return args
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.state import AbstractType, Frame, Value, Variable
+from repro.core.state import Frame, Value, Variable
 from repro.core.timeline import StateSnapshot
 from repro.core.tracker import Tracker
 from repro.viz.svg import SVGCanvas, text_width
@@ -99,10 +99,7 @@ def collect_bindings(tracker: Union[Tracker, StateSnapshot]) -> List[Binding]:
 
 
 def _render(variable: Variable) -> str:
-    value = variable.value
-    while value.abstract_type is AbstractType.REF:
-        value = value.content
-    return value.render()
+    return variable.value.chase().render()
 
 
 def render_scopes_text(bindings: List[Binding]) -> str:

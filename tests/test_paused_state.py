@@ -1,0 +1,358 @@
+"""One capture per pause: the paused state every inspection call reads.
+
+:class:`repro.core.tracker.Tracker` captures the paused state once, on the
+first inspection call of a pause, and every other call of that pause —
+``snapshot()``, ``get_frames()``, ``get_global_variables()``,
+``get_variable()`` and the timeline recorder — reads the same object. A
+control call, a timeline seek and ``terminate`` drop it; while rewound,
+the recorded snapshot is the paused state.
+
+The cases below count the capture hook (or, over MI, the wire commands)
+with a wrapper, check that a global is one ``Value`` whether it is read
+from the module frame or from the globals map, and check, as a property
+over generated programs, that the shared capture encodes exactly what a
+fresh capture with a new :class:`Snapshotter` encodes.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.errors import BackendUnavailableError
+from repro.core.factory import init_tracker
+from repro.core.replay import ReplayTracker
+from repro.core.state import value_to_dict
+from repro.pytracker.introspect import build_frame_chain, build_globals
+from repro.pytracker.tracker import PythonTracker
+
+PROGRAM = """\
+data = [1, 2, 3]
+label = "top"
+
+
+def grow(n):
+    label = n
+    data.append(n)
+    return len(data)
+
+
+size = grow(4)
+done = size + 1
+"""
+
+#: line of ``data.append(n)`` inside ``grow``
+APPEND_LINE = 7
+
+
+def _counting(tracker, hook):
+    """Wrap ``tracker.<hook>`` on the instance; the returned list grows by
+    one entry per call."""
+    calls = []
+    inner = getattr(tracker, hook)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    setattr(tracker, hook, wrapper)
+    return calls
+
+
+def _inspect_everything(tracker):
+    """Every inspection call of the API, twice over."""
+    for _ in range(2):
+        tracker.get_frames()
+        tracker.get_current_frame()
+        tracker.get_global_variables()
+        tracker.get_variable("data")
+        tracker.get_variable("label", function="grow")
+        tracker.get_position()
+        tracker.get_output()
+        tracker.snapshot()
+
+
+def _live(name, path):
+    try:
+        tracker = init_tracker(name)
+    except BackendUnavailableError as error:
+        pytest.skip(str(error))
+    tracker.load_program(path)
+    return tracker
+
+
+def _replay(path):
+    recorder = PythonTracker()
+    recorder.load_program(path)
+    recorder.enable_recording()
+    recorder.start()
+    while recorder.get_exit_code() is None:
+        recorder.step()
+    recorder.terminate()
+    return ReplayTracker(recorder.timeline)
+
+
+def _pt(path, tmp_path):
+    from repro.pytutor.export import record_trace
+
+    trace_path = str(tmp_path / "trace.json")
+    record_trace(path).save(trace_path)
+    tracker = init_tracker("pt")
+    tracker.load_program(trace_path)
+    return tracker
+
+
+def _make(backend, path, tmp_path):
+    if backend == "replay":
+        return _replay(path)
+    if backend == "pt":
+        return _pt(path, tmp_path)
+    return _live(backend, path)
+
+
+@pytest.mark.parametrize("backend", ["python", "python-mon", "replay", "pt"])
+def test_one_capture_per_pause(backend, write_program, tmp_path):
+    tracker = _make(backend, write_program("prog.py", PROGRAM), tmp_path)
+    captures = _counting(tracker, "_capture")
+    tracker.break_before_line(APPEND_LINE)
+    try:
+        tracker.start()
+        tracker.resume()
+        assert tracker.get_position()[1] == APPEND_LINE
+        _inspect_everything(tracker)
+        assert len(captures) == 1
+        shared = tracker.snapshot()
+        assert tracker.get_current_frame() is shared.frame
+        assert tracker.get_frames()[0] is shared.frame
+        assert tracker.get_variable("data") is shared.globals["data"]
+        tracker.step()
+        _inspect_everything(tracker)
+        assert len(captures) == 2
+        assert tracker.snapshot() is not shared
+    finally:
+        tracker.terminate()
+
+
+@pytest.mark.parametrize("backend", ["python", "python-mon"])
+def test_position_and_output_never_force_a_capture(backend, write_program):
+    tracker = _live(backend, write_program("prog.py", PROGRAM))
+    captures = _counting(tracker, "_capture")
+    try:
+        tracker.start()
+        position = tracker.get_position()
+        tracker.get_output()
+        tracker.get_exit_code()
+        assert captures == []
+        # The capture takes its position from the innermost frame.
+        assert tracker.snapshot().position() == position
+    finally:
+        tracker.terminate()
+
+
+@pytest.mark.parametrize("backend", ["python", "python-mon"])
+def test_module_frame_and_globals_share_values(backend, write_program):
+    tracker = _live(backend, write_program("prog.py", PROGRAM))
+    tracker.break_before_line(APPEND_LINE)
+    try:
+        tracker.start()
+        tracker.resume()
+        module = tracker.get_frames()[-1]
+        globals_ = tracker.get_global_variables()
+        for name in ("data", "label"):
+            assert module.variables[name].value.content is (
+                globals_[name].value.content
+            )
+        # ``grow``'s local ``label`` shadows the global: a different object.
+        local = tracker.get_current_frame().variables["label"]
+        assert local.value.content is not globals_["label"].value.content
+    finally:
+        tracker.terminate()
+
+
+MINIC_PROGRAM = """\
+int data = 3;
+
+int grow(int n) {
+    data = data + n;
+    return data;
+}
+
+int main(void) {
+    int size = grow(4);
+    return size;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "backend, name, source, line",
+    [
+        ("GDB", "prog.c", MINIC_PROGRAM, 4),
+        ("python-subproc", "prog.py", PROGRAM, APPEND_LINE),
+    ],
+)
+def test_remote_inspection_crosses_the_pipe_once_per_pause(
+    backend, name, source, line, write_program
+):
+    tracker = init_tracker(backend)
+    tracker.load_program(write_program(name, source))
+    sent = _counting(tracker._client, "execute")
+    tracker.break_before_line(line)
+    try:
+        tracker.start()
+        tracker.resume()
+        for pause in (1, 2):
+            for _ in range(3):
+                tracker.get_frames()
+                tracker.get_global_variables()
+                tracker.get_variable("data")
+                tracker.snapshot()
+            commands = [call[0] for call in sent]
+            assert commands.count("-stack-list-frames") == pause
+            assert commands.count("-data-list-globals") == pause
+            tracker.step()
+    finally:
+        tracker.terminate()
+
+
+RECURSION = """\
+total = 0
+
+
+def rec(n):
+    global total
+    total = total + n
+    if n == 0:
+        return 0
+    return rec(n - 1)
+
+
+result = rec(3)
+"""
+
+
+def test_each_motion_makes_a_fresh_capture(write_program):
+    """A control call, ``goto``, ``backward_step`` and going live again
+    each replace the paused state; rewound, it is the recording."""
+    tracker = PythonTracker()
+    tracker.load_program(write_program("rec.py", RECURSION))
+    tracker.enable_recording()
+    captures = _counting(tracker, "_capture")
+    try:
+        tracker.start()
+        for _ in range(8):
+            tracker.step()
+        live = tracker.snapshot()
+        assert len(captures) == 9  # the recorder captured every pause once
+        view = tracker.timeline_view()
+        timeline = tracker.timeline
+
+        view.backward_step()
+        rewound = tracker.snapshot()
+        assert rewound is not live
+        assert rewound == timeline.snapshot(len(timeline) - 2)
+        assert tracker.get_current_frame() is rewound.frame
+        assert tracker.get_position() == rewound.position()
+        assert tracker.get_output() == rewound.stdout
+
+        view.goto(2)
+        assert tracker.snapshot() is not rewound
+        assert tracker.snapshot() == timeline.snapshot(2)
+        assert tracker.get_variable("n") is tracker.snapshot().lookup("n")
+
+        assert len(captures) == 9  # the recording served every rewound pause
+        view.goto(-1)  # the newest snapshot: live again
+        again = tracker.snapshot()
+        assert len(captures) == 10
+        assert again is not live and again == live
+
+        tracker.step()
+        assert tracker.snapshot() is not again
+        assert len(captures) == 11
+    finally:
+        tracker.terminate()
+
+
+# ---------------------------------------------------------------------------
+# Property: the shared capture equals a fresh one
+# ---------------------------------------------------------------------------
+
+
+def _generated_program(seed):
+    """A small seeded program: globals, a loop, calls, recursion, and a
+    local that shadows a global (and a global alias of a shared list)."""
+    rng = random.Random(seed)
+    values = [rng.randint(-5, 9) for _ in range(rng.randint(1, 4))]
+    depth = rng.randint(0, 3)
+    rounds = rng.randint(0, 3)
+    lines = [
+        f"items = {values!r}",
+        f"shade = {rng.choice(['1', repr('g'), '[0]', 'None'])}",
+        "alias = items" if rng.random() < 0.5 else "alias = list(items)",
+        "",
+        "def down(n):",
+        "    shade = n",
+        "    if n <= 0:",
+        "        return shade",
+        "    return down(n - 1) + shade",
+        "",
+        "def walk(k):",
+        "    acc = {'k': k}",
+        "    for i in range(k):",
+        "        items.append(i)",
+        "        acc[i] = items[-1]",
+        "    return acc",
+        "",
+    ]
+    calls = [f"deep = down({depth})", f"table = walk({rounds})"]
+    rng.shuffle(calls)
+    return "\n".join(lines + calls + ["shade = deep", ""])
+
+
+def _encoded(frames, globals_):
+    return (
+        [
+            (frame.name, frame.line, {
+                name: value_to_dict(variable.value)
+                for name, variable in frame.variables.items()
+            })
+            for frame in frames
+        ],
+        {name: value_to_dict(v.value) for name, v in globals_.items()},
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_shared_capture_equals_a_fresh_capture(seed, tmp_path_factory):
+    path = tmp_path_factory.mktemp("gen") / "gen.py"
+    path.write_text(_generated_program(seed))
+    tracker = PythonTracker()
+    tracker.load_program(str(path))
+    try:
+        tracker.start()
+        for _ in range(400):
+            if tracker.get_exit_code() is not None:
+                break
+            cached = _encoded(
+                tracker.get_frames(), tracker.get_global_variables()
+            )
+            # Read again: the second calls are served from the cache.
+            assert _encoded(
+                tracker.get_frames(), tracker.get_global_variables()
+            ) == cached
+            fresh_frames = build_frame_chain(
+                tracker._paused_py_frame,
+                tracker._is_inferior_frame,
+                tracker._snapshotter(),
+            ).stack()
+            fresh_globals = build_globals(
+                tracker._globals, tracker._snapshotter()
+            )
+            assert cached == _encoded(fresh_frames, fresh_globals), (
+                f"seed={seed} line={tracker.get_position()[1]}"
+            )
+            tracker.step()
+        assert tracker.get_exit_code() is not None, f"seed={seed} never exited"
+    finally:
+        tracker.terminate()

@@ -31,7 +31,7 @@ from repro.service import (
     TrackerService,
     WarmPool,
 )
-from repro.testing.faults import ChaosPlan, ChaosProxy
+from repro.testing.faults import TCP_HOP, ChaosPlan, ChaosProxy
 
 COUNTING_PY = """\
 total = 0
@@ -853,6 +853,44 @@ class TestReconnect:
                     stop = await asyncio.wait_for(resume, 30)
                     assert stop["reason"] == "exited"
                     assert client.connections == 2
+                    await tracker.close()
+            finally:
+                if proxy is not None:
+                    await proxy.close()
+                await service.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("reconnect", ["default", None])
+    def test_drop_during_the_greeting(self, write_program, reconnect):
+        """A connection severed before its greeting arrives is retried on
+        the reconnect policy; without one, ``connect`` fails."""
+        path = write_program("prog.py", COUNTING_PY)
+
+        async def scenario():
+            service = await make_service()
+            proxy = None
+            try:
+                host, port = service.address
+                # The service's greeting is the first chunk on the hop.
+                proxy = ChaosProxy(
+                    host, port, ChaosPlan(scripted={(TCP_HOP, 0): "disconnect"})
+                )
+                await proxy.start()
+                if reconnect is None:
+                    with pytest.raises(ServerCrashError):
+                        await ServiceClient.connect(
+                            "127.0.0.1", proxy.port, reconnect=None
+                        )
+                    assert proxy.accepted == 1
+                    return
+                async with await ServiceClient.connect(
+                    "127.0.0.1", proxy.port
+                ) as client:
+                    assert proxy.accepted == 2
+                    assert client.connections == 1
+                    tracker = await client.open_tracker(path)
+                    await tracker.start()
                     await tracker.close()
             finally:
                 if proxy is not None:
