@@ -16,8 +16,9 @@ Robustness additions over the seed client:
   :class:`repro.core.errors.ServerCrashError` carrying the exit code and
   the last ~20 stderr lines;
 - a control call whose deadline expires interrupts the inferior
-  (``-exec-interrupt`` down the pipe, plus ``SIGINT`` as a belt-and-braces
-  fallback) and keeps waiting one grace period for the ``*stopped``
+  (``SIGINT`` to the server, with an ``-exec-interrupt`` line that a
+  tracker service routes by session) and keeps waiting one grace period
+  for the ``*stopped``
   record; only if that also fails does it raise
   :class:`repro.core.errors.ControlTimeout`;
 - :meth:`MIClient.restart` respawns the server subprocess in place, so the

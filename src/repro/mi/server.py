@@ -14,7 +14,8 @@ in :class:`repro.mi.servercore.ServerCore`, shared with the out-of-process
 Python server (:mod:`repro.subproc.server`). :class:`DebugServer` adds
 what only this substrate has: address breakpoints, registers, memory,
 disassembly, the heap map, ``=alloc`` notifications, the ``bkptno`` /
-``pc`` / ``wpnum`` stop fields, and an inline interrupt poll.
+``pc`` / ``wpnum`` stop fields. A SIGINT sets the engine's interrupt
+flag, which the run loop's next event turns into an ``interrupted`` stop.
 
 ``DebugServer.handle`` is pure (command line in, record lines out), so
 the whole server is unit-testable without pipes; ``main`` adds the stdio
@@ -24,7 +25,7 @@ loop.
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.engine import AddressBreakpoint
 from repro.core.errors import ProgramLoadError
@@ -43,11 +44,6 @@ from repro.minic.events import (
 from repro.mi import protocol
 from repro.mi.inferiors import InferiorAdapter, open_inferior
 from repro.mi.servercore import ServerCore, serve_stdio
-
-#: How many inferior events run between two interrupt-poll callbacks.
-#: The flag itself is checked on every event; the poll (a select() on
-#: stdin) is the expensive part worth batching.
-_INTERRUPT_POLL_EVERY = 128
 
 
 class InferiorTracker(Tracker):
@@ -69,10 +65,6 @@ class InferiorTracker(Tracker):
         self.inferior: Optional[InferiorAdapter] = None
         self._events: Optional[Iterator[Event]] = None
         self._stdout = ""
-        self._events_since_poll = 0
-        #: polled every ``_INTERRUPT_POLL_EVERY`` events for an
-        #: ``-exec-interrupt`` (installed by the hosting server)
-        self.interrupt_poll: Optional[Callable[[], bool]] = None
         #: function of the newest event
         self.function: Optional[str] = None
         #: the event of the last pause (its depth is the next/finish
@@ -146,7 +138,6 @@ class InferiorTracker(Tracker):
         engine = self.engine
         engine.arm(mode, self._event_depth(self.stop_event))
         while True:
-            self._poll_interrupt()
             event = next(self._events, None)
             if event is None or isinstance(event, ExitEvent):
                 self._exit(event)
@@ -181,17 +172,6 @@ class InferiorTracker(Tracker):
                 self.next_lineno = reason.line
                 return
 
-    def _poll_interrupt(self) -> None:
-        """Check the server for an ``-exec-interrupt`` every N events."""
-        self._events_since_poll += 1
-        if (
-            self.interrupt_poll is not None
-            and self._events_since_poll >= _INTERRUPT_POLL_EVERY
-        ):
-            self._events_since_poll = 0
-            if self.interrupt_poll():
-                self.engine.interrupt_requested = True
-
     def _exit(self, event: Optional[ExitEvent]) -> None:
         self.engine.note_event("exit")
         self.engine.record_pause(PauseReasonType.EXIT)
@@ -215,12 +195,6 @@ class DebugServer(ServerCore):
         self.tracker = InferiorTracker()
         self.tracker.load_program(path, args)
         self.inferior: InferiorAdapter = self.tracker.inferior
-
-    def _run(self, control: Callable[[], None]) -> None:
-        # The poll runs inline, every _INTERRUPT_POLL_EVERY events: no
-        # watcher thread per control call.
-        self.tracker.interrupt_poll = self.interrupt_poll
-        control()
 
     def _drain_output(self) -> List[str]:
         records = []

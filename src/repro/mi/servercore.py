@@ -13,23 +13,23 @@ tracker* rather than about a particular inferior substrate lives here:
   never a dead pipe), session-id echo (a command prefixed ``s1-...`` gets
   every reply record prefixed ``s1``, the multiplexed-session framing; an
   id-less command stays id-less, preserving wire compatibility with
-  legacy clients), async-interrupt delivery, the control-point number
+  legacy clients), interrupt delivery, the control-point number
   registry shared by enable/disable/delete, and every command that only
   calls the hosted tracker's public API: run control, line/function
   breakpoints, watches, tracked functions, frame/global/position
   inspection and the ``-timeline-*`` recording family. Each ``*stopped``
   record is built by :func:`repro.mi.protocol.encode_stop` from the
   tracker's :attr:`pause_reason`;
-- :class:`LineChannel` — exact, pollable line reads over a raw fd, which
-  is what lets a busy run loop notice an ``-exec-interrupt`` arriving
-  mid-run, including *sleeping* waits (``select`` with a timeout) so a
-  watcher thread burns no CPU while nothing is pending;
-- :class:`StdioServerLoop` / :func:`serve_stdio` — the loop that drives a
-  server over stdin/stdout (greeting, pending-command queue, stdin
-  interrupt poller, SIGINT handler), shared by both ``main`` entry
-  points. Dispatch is loop-driven: the loop *sleeps* until a line is
-  readable and hands it to the server, rather than spinning on a
-  zero-timeout poll.
+- :func:`serve_stdio` — the line loop that drives a server over
+  stdin/stdout, shared by both ``main`` entry points.
+
+A running control call is interrupted only by SIGINT, as a GDB in
+synchronous MI mode is. Every client sends it along with each
+``-exec-interrupt`` line. CPython runs the handler on the main thread,
+the thread blocked in the control call (running the mini-C interpreter,
+or waiting for the Python inferior's pause), so nothing reads stdin
+while a call runs. The ``-exec-interrupt`` line is read after the call
+returns and answered with nothing.
 
 ``ServerCore.handle`` is pure (command line in, record lines out), so
 every server built on it is unit-testable without pipes.
@@ -37,8 +37,6 @@ every server built on it is unit-testable without pipes.
 
 from __future__ import annotations
 
-import os
-import select
 import signal
 import sys
 from typing import Any, Callable, Dict, List, Optional
@@ -56,11 +54,10 @@ class ServerCore:
     whose ``engine`` holds the control-point registries) and :attr:`path`
     (``None`` while no program is loaded), provide ``_cmd_<name>``
     handlers for their substrate's own commands (dashes in the MI command
-    name map to underscores), and override the hooks :meth:`_run` (how a
-    blocking control call runs), :meth:`_drain_output` (the async records
-    it produced), :meth:`_stop_fields` (substrate fields of the
-    ``*stopped`` record), :meth:`_evaluate` (variable rendering) and
-    :meth:`_break_at_address`.
+    name map to underscores), and override the hooks
+    :meth:`_drain_output` (the async records a control call produced),
+    :meth:`_stop_fields` (substrate fields of the ``*stopped`` record),
+    :meth:`_evaluate` (variable rendering) and :meth:`_break_at_address`.
     """
 
     def __init__(self) -> None:
@@ -70,14 +67,8 @@ class ServerCore:
         self._running = False
         self._number = 0
         self._finished = False
-        #: Injected by ``serve_stdio``: polls stdin for an
-        #: ``-exec-interrupt`` that arrived while the server is busy.
-        #: Accepts an optional ``timeout`` (seconds to *sleep* in select
-        #: when nothing is pending, instead of busy-spinning) and an
-        #: optional ``wake_fd`` (an extra fd whose readability cuts the
-        #: sleep short, the self-pipe idiom). ``None`` in unit-test use
-        #: (tests call :meth:`request_interrupt` directly).
-        self.interrupt_poll: Optional[Callable[..., bool]] = None
+        #: whether a control call is running (interrupts act only then)
+        self._in_flight = False
 
     @property
     def engine(self) -> Any:
@@ -85,12 +76,14 @@ class ServerCore:
         return self.tracker.engine
 
     def request_interrupt(self) -> None:
-        """Ask the busy control call to pause at the next opportunity.
+        """Ask the running control call to pause at the next opportunity.
 
-        Async-signal-safe (the hosted tracker stores a flag): callable
-        from a signal handler, another thread, or a test.
+        The SIGINT handler's body. Async-signal-safe (the hosted tracker
+        stores a flag). Between control calls it does nothing, so a late
+        interrupt never lands on the next call.
         """
-        self.tracker._request_interrupt()
+        if self._in_flight:
+            self.tracker._request_interrupt()
 
     # ------------------------------------------------------------------
     # Command dispatch
@@ -159,13 +152,12 @@ class ServerCore:
         return self._guarded_exec(self.tracker.finish)
 
     def _cmd_exec_interrupt(self, command) -> List[str]:
-        """A stale interrupt: the inferior stopped before it arrived.
+        """The line that came with a SIGINT; it is read after the call.
 
-        The live case never reaches command dispatch — while a control
-        call is busy, ``-exec-interrupt`` is consumed by the stdin poller
-        (or delivered as SIGINT) and answered by the ``*stopped`` record
-        of the interrupted exec command. Emitting nothing keeps the stale
-        case from desynchronizing the client's request/reply pairing.
+        The SIGINT did the interrupting, and the ``*stopped`` record of
+        the exec command answered it (or the inferior stopped before it
+        arrived). Emitting nothing keeps the client's request/reply
+        pairing in step.
         """
         return []
 
@@ -178,15 +170,16 @@ class ServerCore:
 
     def _exec(self, control: Callable[[], None]) -> List[str]:
         """Run one control call; reply ``^running``, output, ``*stopped``."""
-        self._run(control)
+        self._in_flight = True
+        try:
+            control()
+        finally:
+            self._in_flight = False
+            self.engine.interrupt_requested = False
         records = [protocol.format_running()]
         records.extend(self._drain_output())
         records.append(protocol.format_stopped(self._stop_payload()))
         return records
-
-    def _run(self, control: Callable[[], None]) -> None:
-        """Hook: run one blocking control call of the hosted tracker."""
-        control()
 
     def _drain_output(self) -> List[str]:
         """Hook: the async records (output, notifications) of the run."""
@@ -431,164 +424,21 @@ class ServerCore:
         return timeline
 
 
-class LineChannel:
-    """Line-oriented reads over a raw fd, with a non-blocking poll.
-
-    The stdlib's buffered ``sys.stdin`` cannot be polled reliably — data
-    may be hidden in its Python-level buffer where ``select`` cannot see
-    it. Owning the buffer makes ``poll_line`` exact, which is what lets
-    the busy run-control loop notice an ``-exec-interrupt`` command that
-    arrived mid-run.
-    """
-
-    def __init__(self, fd: int):
-        self._fd = fd
-        self._buffer = b""
-        self._eof = False
-
-    def poll_line(self) -> Optional[str]:
-        """A complete line if one is available right now, else ``None``."""
-        while b"\n" not in self._buffer and not self._eof:
-            try:
-                ready, _, _ = select.select([self._fd], [], [], 0)
-            except (OSError, ValueError):  # unpollable stdin: poll disabled
-                return None
-            if not ready:
-                return None
-            self._fill()
-        return self._take_line()
-
-    def wait_readable(
-        self, timeout: float, extra_fd: Optional[int] = None
-    ) -> bool:
-        """Sleep in ``select`` until the fd is readable (or timeout).
-
-        This is what lets an interrupt watcher *wait* for input instead
-        of spinning on :meth:`poll_line`: the select wakes the moment a
-        command byte (or a byte on ``extra_fd``, the self-pipe wake-up)
-        arrives, and costs nothing while the pipe is idle. Returns
-        whether a complete line is already buffered or the fd became
-        readable; ``False`` on a plain timeout.
-        """
-        if b"\n" in self._buffer or self._eof:
-            return True
-        fds = [self._fd] if extra_fd is None else [self._fd, extra_fd]
-        try:
-            ready, _, _ = select.select(fds, [], [], max(timeout, 0))
-        except (OSError, ValueError):  # unpollable stdin: degrade to sleep
-            return False
-        return bool(ready)
-
-    def read_line(self) -> Optional[str]:
-        """Blocking read of the next line; ``None`` at EOF."""
-        while True:
-            line = self._take_line()
-            if line is not None:
-                return line
-            if self._eof:
-                return None
-            self._fill()
-
-    def _fill(self) -> None:
-        chunk = os.read(self._fd, 4096)
-        if not chunk:
-            self._eof = True
-        else:
-            self._buffer += chunk
-
-    def _take_line(self) -> Optional[str]:
-        if b"\n" in self._buffer:
-            raw, self._buffer = self._buffer.split(b"\n", 1)
-            return raw.decode("utf-8", "replace")
-        if self._eof and self._buffer:
-            raw, self._buffer = self._buffer, b""
-            return raw.decode("utf-8", "replace")
-        return None
-
-
-class StdioServerLoop:
-    """Drives a :class:`ServerCore` over a line channel (stdin/stdout).
-
-    Owns the pieces ``serve_stdio`` used to build inline: the greeting,
-    the pending-command queue, the interrupt poller, and the SIGINT
-    handler. Dispatch is loop-driven — the loop blocks in
-    :meth:`LineChannel.read_line` until a command arrives, hands it to
-    ``server.handle``, and emits the records. The interrupt poller is a
-    bound method so run loops can *sleep* on stdin between interrupt
-    checks (``poll_interrupt(timeout=..., wake_fd=...)``) instead of
-    spinning on a zero-timeout select.
-    """
-
-    def __init__(self, server: ServerCore, channel: LineChannel):
-        self.server = server
-        self.channel = channel
-        #: non-interrupt commands that arrived while a run loop was busy
-        #: (rare: only a command racing a natural stop); served before
-        #: reading the channel again.
-        self.pending: List[str] = []
-        server.interrupt_poll = self.poll_interrupt
-
-    def poll_interrupt(
-        self, timeout: float = 0.0, wake_fd: Optional[int] = None
-    ) -> bool:
-        """Check the channel for an ``-exec-interrupt``; optionally sleep.
-
-        With ``timeout > 0`` the call first sleeps in ``select`` until
-        the channel (or ``wake_fd``, a self-pipe the server pokes when
-        the run ends) becomes readable, so a watcher thread costs no CPU
-        while the inferior runs. Then every complete line available
-        right now is consumed: interrupts set the return flag, anything
-        else is queued as pending. Session-prefixed interrupts
-        (``s1-exec-interrupt``) count too — the busy run is the only
-        thing an interrupt can be aimed at on a single-session pipe.
-        """
-        if timeout > 0:
-            self.channel.wait_readable(timeout, wake_fd)
-        interrupted = False
-        while True:
-            line = self.channel.poll_line()
-            if line is None:
-                break
-            _, body = protocol.split_session(line.strip())
-            if body == "-exec-interrupt":
-                interrupted = True
-            elif line.strip():
-                self.pending.append(line)
-        return interrupted
-
-    def install_sigint(self) -> None:
-        """Route SIGINT to ``server.request_interrupt`` (best effort)."""
-        try:
-            signal.signal(
-                signal.SIGINT, lambda *_: self.server.request_interrupt()
-            )
-        except (ValueError, OSError, AttributeError):  # not the main thread
-            pass
-
-    def next_line(self) -> Optional[str]:
-        """The next command to dispatch; ``None`` at channel EOF."""
-        if self.pending:
-            return self.pending.pop(0)
-        return self.channel.read_line()
-
-    def run(self, greeting: Dict[str, Any]) -> int:
-        """Serve until EOF or ``-gdb-exit``; returns the exit status."""
-        self.install_sigint()
-        print(protocol.format_done(greeting), flush=True)
-        while True:
-            line = self.next_line()
-            if line is None:
-                break
-            if not line.strip():
-                continue
-            for record in self.server.handle(line):
-                print(record, flush=True)
-            if self.server._finished:
-                break
-        return 0
-
-
 def serve_stdio(server: ServerCore, greeting: Dict[str, Any]) -> int:
-    """Run ``server`` over stdin/stdout until EOF or ``-gdb-exit``."""
-    loop = StdioServerLoop(server, LineChannel(sys.stdin.fileno()))
-    return loop.run(greeting)
+    """Run ``server`` over stdin/stdout until EOF or ``-gdb-exit``.
+
+    A plain line loop on the main thread. SIGINT is routed to
+    :meth:`ServerCore.request_interrupt`; CPython runs the handler on
+    this thread, which is the one blocked in a running control call.
+    """
+    signal.signal(signal.SIGINT, lambda *_: server.request_interrupt())
+    print(protocol.format_done(greeting), flush=True)
+    for raw in sys.stdin.buffer:
+        line = raw.decode("utf-8", "replace")
+        if not line.strip():
+            continue
+        for record in server.handle(line):
+            print(record, flush=True)
+        if server._finished:
+            break
+    return 0

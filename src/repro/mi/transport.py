@@ -3,8 +3,10 @@
 Two implementations share one contract — framing (one record per line),
 liveness (a dead server is reaped and diagnosed as a
 :class:`~repro.core.errors.ServerCrashError` carrying the exit code and a
-bounded stderr tail), and interrupt delivery (``-exec-interrupt`` down the
-pipe plus ``SIGINT`` as a belt-and-braces fallback):
+bounded stderr tail), and interrupt delivery. ``SIGINT`` is what
+interrupts a child server's running control call; the ``-exec-interrupt``
+line sent with it is still what the tracker service routes by session,
+and a child server answers it with nothing:
 
 - :class:`PipeTransport` — the blocking transport behind
   :class:`repro.mi.client.MIClient`. stdout and stderr are drained by
@@ -213,7 +215,7 @@ class PipeTransport:
         return line
 
     def interrupt(self) -> None:
-        """Ask the busy server to pause its inferior (async-signal style)."""
+        """Ask the busy server to pause its inferior: the line, then SIGINT."""
         try:
             self.send_line(protocol.format_command("-exec-interrupt"))
         except ServerCrashError:
@@ -368,7 +370,7 @@ class AsyncPipeTransport:
                 pass
 
     async def interrupt(self) -> None:
-        """Ask the busy server to pause its inferior (async-signal style)."""
+        """Ask the busy server to pause its inferior: the line, then SIGINT."""
         await self.send_line(protocol.format_command("-exec-interrupt"))
         if hasattr(signal, "SIGINT"):
             try:
@@ -379,27 +381,34 @@ class AsyncPipeTransport:
     # -- teardown --------------------------------------------------------
 
     async def close(self, graceful_exit: bool = True) -> None:
-        """Tear the subprocess down (idempotent, crash-tolerant)."""
+        """Tear the subprocess down (idempotent, crash-tolerant).
+
+        Safe to cancel: a close cancelled during the graceful exit still
+        kills and reaps the child before the cancellation propagates, so
+        neither the child nor its asyncio transport outlives the close.
+        """
         if self._closed or self._process is None:
             return
         self._closed = True
-        if self.alive() and graceful_exit:
-            try:
-                await self.send_line(protocol.format_command("-gdb-exit"))
-                await asyncio.wait_for(self._process.wait(), 2)
-            except (ServerCrashError, asyncio.TimeoutError):
-                pass
-        if self.alive():
-            try:
-                self._process.kill()
-            except ProcessLookupError:  # pragma: no cover - already gone
-                pass
-            try:
-                await asyncio.wait_for(self._process.wait(), 5)
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
-                pass
-        if self._stderr_task is not None:
-            self._stderr_task.cancel()
+        try:
+            if self.alive() and graceful_exit:
+                try:
+                    await self.send_line(protocol.format_command("-gdb-exit"))
+                    await asyncio.wait_for(self._process.wait(), 2)
+                except (ServerCrashError, asyncio.TimeoutError):
+                    pass
+        finally:
+            if self.alive():
+                try:
+                    self._process.kill()
+                except ProcessLookupError:  # pragma: no cover - already gone
+                    pass
+                try:
+                    await asyncio.wait_for(self._process.wait(), 5)
+                except asyncio.TimeoutError:  # pragma: no cover - defensive
+                    pass
+            if self._stderr_task is not None:
+                self._stderr_task.cancel()
 
 
 def default_transport_factory(

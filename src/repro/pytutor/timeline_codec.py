@@ -24,6 +24,7 @@ from repro.core.timeline import (
     register_timeline_codec,
 )
 from repro.pytutor.trace import (
+    PTDecoder,
     PTStep,
     PTTrace,
     step_globals,
@@ -32,11 +33,16 @@ from repro.pytutor.trace import (
 
 
 def snapshot_from_pt_step(step: PTStep) -> StateSnapshot:
-    """Convert one recorded PT step into a :class:`StateSnapshot`."""
-    frame = step_to_frame_chain(step)
+    """Convert one recorded PT step into a :class:`StateSnapshot`.
+
+    One decoder serves the frames and the globals, so a heap object that
+    a local and a global both reference is one :class:`Value`.
+    """
+    decoder = PTDecoder(step.heap)
+    frame = step_to_frame_chain(step, decoder)
     return StateSnapshot(
         frame=frame,
-        globals=step_globals(step),
+        globals=step_globals(step, decoder),
         filename="<trace>",
         line=step.line,
         depth=len(step.stack_to_render),

@@ -384,9 +384,15 @@ class PTDecoder:
         raise ProgramLoadError(f"unknown PT heap tag: {tag!r}")
 
 
-def step_to_frame_chain(step: PTStep) -> Frame:
-    """Rebuild the model :class:`Frame` chain from one trace step."""
-    decoder = PTDecoder(step.heap)
+def step_to_frame_chain(
+    step: PTStep, decoder: Optional[PTDecoder] = None
+) -> Frame:
+    """Rebuild the model :class:`Frame` chain from one trace step.
+
+    Pass the ``decoder`` that also decodes the step's globals to make a
+    heap object reachable from both one shared :class:`Value`.
+    """
+    decoder = decoder or PTDecoder(step.heap)
     frames: List[Frame] = []
     for depth, pt_frame in enumerate(step.stack_to_render):
         variables = {
@@ -413,9 +419,11 @@ def step_to_frame_chain(step: PTStep) -> Frame:
     return frames[-1]
 
 
-def step_globals(step: PTStep) -> Dict[str, Variable]:
+def step_globals(
+    step: PTStep, decoder: Optional[PTDecoder] = None
+) -> Dict[str, Variable]:
     """Rebuild the model global variables from one trace step."""
-    decoder = PTDecoder(step.heap)
+    decoder = decoder or PTDecoder(step.heap)
     return {
         name: Variable(
             name=name,

@@ -226,8 +226,8 @@ class TrackerService:
         This is what makes the service a drop-in for a dedicated child
         server: a blocking client spawns ``python -m repro serve
         --stdio`` and speaks plain MI at it. SIGINT (the blocking
-        client's belt-and-braces interrupt) is forwarded to every open
-        session instead of killing the service; SIGTERM drains it.
+        client's interrupt) is forwarded to every open session instead
+        of killing the service; SIGTERM drains it.
         """
         await self.manager.start()
         loop = asyncio.get_event_loop()

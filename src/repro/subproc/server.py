@@ -10,10 +10,10 @@ Python tracking without sharing its address space, CPU or lifetime with
 the inferior.
 
 Run-control commands block in the hosted tracker (that is the tracker
-contract); a watcher thread polls stdin meanwhile, so an
-``-exec-interrupt`` (or SIGINT) arriving mid-run is delivered to the
-tracker's async-interrupt path and the command still answers with a
-``*stopped,reason="interrupted"`` record.
+contract): the main thread waits for the inferior thread's pause. A
+SIGINT runs its handler on that waiting thread, which sets the
+tracker's interrupt flag; the inferior pauses at its next trace event
+and the command answers with a ``*stopped,reason="interrupted"`` record.
 
 Resource limits (``--limit-as``, ``--limit-cpu``, ``--limit-fsize``) are
 applied to this whole process before the server starts — the child *is*
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import ProgramLoadError
@@ -43,16 +42,6 @@ from repro.mi import protocol
 from repro.mi.servercore import ServerCore, serve_stdio
 from repro.pytracker.tracker import PythonTracker
 from repro.subproc.limits import ResourceLimits
-
-#: Seconds the interrupt watcher *sleeps* in select per check while a
-#: control call blocks. The select wakes early the moment stdin (an
-#: ``-exec-interrupt`` line) or the wake pipe (the control call ending)
-#: becomes readable, so this bounds only the reaction to a bare SIGINT
-#: flag set by a non-main-thread path — it can be generous.
-_INTERRUPT_POLL_INTERVAL = 0.5
-
-#: Flag-check cadence when no stdin poller is installed (unit-test use).
-_UNPOLLED_INTERVAL = 0.05
 
 
 class PythonDebugServer(ServerCore):
@@ -63,8 +52,7 @@ class PythonDebugServer(ServerCore):
     by the shared :class:`ServerCore` handlers, so in-process and
     out-of-process tracking cannot drift apart: the pause decisions, watch
     semantics and timeline snapshots are literally the same code. This
-    class adds the Python substrate's own commands and runs each control
-    call under an interrupt watcher thread.
+    class adds the Python substrate's own commands.
     """
 
     def __init__(
@@ -80,9 +68,6 @@ class PythonDebugServer(ServerCore):
         )
         if path is not None:
             self.tracker.load_program(path, list(args or []))
-        #: Set by SIGINT or a test; the watcher thread delivers it to the
-        #: tracker during the next control call.
-        self._interrupt_requested = False
         #: Characters of inferior output already emitted as stream records
         #: (an *absolute* position: survives ring-buffer eviction).
         self._emitted_output = 0
@@ -90,14 +75,6 @@ class PythonDebugServer(ServerCore):
         #: rlimits cannot be raised back, so the warm pool must not hand
         #: this child to another session.
         self.limits_applied = False
-
-    def request_interrupt(self) -> None:
-        self._interrupt_requested = True
-        # Also poke the tracker directly: safe from a signal handler (the
-        # flag store plus frame re-arming are async-tolerant), and faster
-        # than waiting for the watcher thread's next poll.
-        if self._running and self.tracker.get_exit_code() is None:
-            self.tracker._request_interrupt()
 
     # ------------------------------------------------------------------
     # Lifecycle + run control
@@ -127,7 +104,6 @@ class PythonDebugServer(ServerCore):
             self._running = False
             self._emitted_output = 0
             self._number = 0
-            self._interrupt_requested = False
         self.tracker.load_program(command.args[0], list(command.args[1:]))
         self.path = command.args[0]
         return [protocol.format_done({"file": self.tracker._program_abspath})]
@@ -164,59 +140,6 @@ class PythonDebugServer(ServerCore):
                 }
             )
         ]
-
-    def _run(self, control) -> None:
-        """Run one blocking control call under the interrupt watcher.
-
-        The watcher gets a wake pipe (self-pipe idiom): when the control
-        call returns, one byte written to it snaps the watcher out of its
-        stdin select immediately, so the reply is never delayed by the
-        watcher's poll interval.
-        """
-        stop = threading.Event()
-        wake_read, wake_write = os.pipe()
-        watcher = threading.Thread(
-            target=self._watch_for_interrupt,
-            args=(stop, wake_read),
-            name="subproc-interrupt-watch",
-            daemon=True,
-        )
-        watcher.start()
-        try:
-            control()
-        finally:
-            stop.set()
-            try:
-                os.write(wake_write, b"x")
-            except OSError:  # pragma: no cover - wake pipe gone
-                pass
-            watcher.join()
-            os.close(wake_read)
-            os.close(wake_write)
-
-    def _watch_for_interrupt(
-        self, stop: threading.Event, wake_fd: int
-    ) -> None:
-        """Deliver a mid-run ``-exec-interrupt``/SIGINT to the tracker.
-
-        With the stdio loop's poller installed, each check *sleeps* in
-        ``select`` on stdin plus the wake pipe — zero CPU while the
-        inferior runs, instant wake-up when an interrupt line arrives or
-        the run ends. Without one (unit-test use), the flag set by
-        :meth:`request_interrupt` is checked at a fixed cadence.
-        """
-        poll = self.interrupt_poll
-        while not stop.is_set():
-            pending = self._interrupt_requested
-            if poll is not None:
-                pending = poll(
-                    timeout=_INTERRUPT_POLL_INTERVAL, wake_fd=wake_fd
-                ) or pending
-            if pending:
-                self._interrupt_requested = False
-                self.tracker._request_interrupt()
-            if poll is None:
-                stop.wait(_UNPOLLED_INTERVAL)
 
     # ------------------------------------------------------------------
     # Output streaming and stop fields

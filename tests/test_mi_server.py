@@ -1,11 +1,16 @@
-"""Tests for the debug server, driven through its pure handle() interface."""
+"""Tests for the debug server, driven through its pure handle() interface
+(and, for SIGINT delivery, over its stdio pipes)."""
 
 import json
+import signal
+import sys
+import time
 
 import pytest
 
 from repro.mi.protocol import parse_record
 from repro.mi.server import DebugServer
+from repro.mi.transport import PipeTransport
 
 C_PROGRAM = """\
 int total = 0;
@@ -471,3 +476,46 @@ class TestTimeline:
         assert payload["length"] == 10
         assert payload["retained"] <= 5
         assert payload["start"] > 0
+
+
+PY_PROGRAM = """\
+a = 1
+b = a + 1
+c = b + 1
+d = c + 1
+"""
+
+
+class TestSigintBetweenCommands:
+    """A SIGINT that reaches an idle server interrupts nothing."""
+
+    @staticmethod
+    def _stopped(transport):
+        while True:
+            line = transport.recv_line(timeout=30)
+            assert line is not None, "no *stopped within 30s"
+            record = parse_record(line)
+            if record.kind == "stopped":
+                return record.payload
+
+    @pytest.mark.parametrize(
+        "name, source", [("prog.c", C_PROGRAM), ("prog.py", PY_PROGRAM)]
+    )
+    def test_late_sigint_does_not_stop_the_next_command(
+        self, write_program, name, source
+    ):
+        path = write_program(name, source)
+        transport = PipeTransport([sys.executable, "-m", "repro.mi.server", path])
+        try:
+            assert parse_record(transport.recv_line(timeout=30)).kind == "done"
+            transport.send_line("-exec-run")
+            self._stopped(transport)
+            transport._process.send_signal(signal.SIGINT)
+            time.sleep(0.2)  # the handler runs while the server is idle
+            for _ in range(2):
+                transport.send_line("-exec-next")
+                assert self._stopped(transport)["reason"] == (
+                    "end-stepping-range"
+                )
+        finally:
+            transport.close()

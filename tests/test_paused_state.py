@@ -169,6 +169,38 @@ def test_module_frame_and_globals_share_values(backend, write_program):
         tracker.terminate()
 
 
+ALIASING_PROGRAM = """\
+data = [1, 2, 3]
+
+
+def peek(items):
+    first = items[0]
+    return first
+
+
+value = peek(data)
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", "python-mon", "pt"])
+def test_local_and_global_share_one_heap_value(
+    backend, write_program, tmp_path
+):
+    """``peek``'s local ``items`` and the global ``data`` are one list, so
+    they reference one heap ``Value`` (the paper's Fig 6b heap model)."""
+    path = write_program("alias.py", ALIASING_PROGRAM)
+    tracker = _make(backend, path, tmp_path)
+    tracker.break_before_line(5)
+    try:
+        tracker.start()
+        tracker.resume()
+        local = tracker.get_current_frame().variables["items"].value
+        global_ = tracker.get_global_variables()["data"].value
+        assert local.content is global_.content
+    finally:
+        tracker.terminate()
+
+
 MINIC_PROGRAM = """\
 int data = 3;
 

@@ -19,6 +19,7 @@ import pytest
 from repro.core.errors import ServerCrashError, TrackerError
 from repro.mi import protocol
 from repro.mi.client import MIClient, PipeTransport
+from repro.mi.transport import AsyncPipeTransport
 from repro.service import (
     ProgramQuarantined,
     ServiceAuthError,
@@ -124,6 +125,28 @@ class TestWarmPool:
 
         pid, reopened = run(scenario())
         assert pid == reopened
+
+    def test_cancelled_graceful_close_still_reaps_the_child(self):
+        """A close cancelled while the child ignores ``-gdb-exit`` (the
+        reaper cancelled by the manager's shutdown) kills and reaps it."""
+
+        async def scenario():
+            transport = await AsyncPipeTransport.spawn(
+                [sys.executable, "-c", "import time; time.sleep(60)"]
+            )
+            try:
+                closing = asyncio.ensure_future(transport.close())
+                await asyncio.sleep(0.3)  # inside the graceful-exit wait
+                closing.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await closing
+                return transport.exit_code()
+            finally:
+                if transport.alive():
+                    transport.kill()
+                    await transport._process.wait()
+
+        assert run(scenario()) is not None
 
     def test_mid_run_close_discards_the_child(self, write_program):
         """A started-but-unfinished inferior may haunt the child: retire."""
@@ -416,8 +439,13 @@ class TestServiceEndToEnd:
                 async with await ServiceClient.connect(host, port) as client:
                     tracker = await client.open_tracker(path)
                     await tracker.start()
-                    stop = await tracker.resume(timeout=0.5)
-                    assert stop["reason"] == "interrupted"
+                    # Each interrupt is spent by the resume it stopped:
+                    # none carries into the next, which runs its deadline.
+                    for _ in range(3):
+                        started = time.monotonic()
+                        stop = await tracker.resume(timeout=0.5)
+                        assert stop["reason"] == "interrupted"
+                        assert time.monotonic() - started >= 0.5
                     await tracker.close()
             finally:
                 await service.close()

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.api import init_tracker
 from repro.core.errors import (
     BackendUnavailableError,
     ControlTimeout,
@@ -203,13 +204,21 @@ class TestDeadlineInterrupt:
         kinds = [event.kind for event in tracker.drain_supervision_events()]
         assert INFERIOR_INTERRUPTED in kinds
 
-    def test_python_tracker_interrupts(self, write_program):
-        tracker = PythonTracker()
+    @pytest.mark.parametrize("backend", ["python", "python-subproc"])
+    def test_python_tracker_interrupts(self, write_program, backend):
+        tracker = init_tracker(backend)
         tracker.load_program(write_program("spin.py", NEVER_PAUSING_PY))
         tracker.start()
         try:
             self._assert_interrupted(tracker)
-            tracker.step()  # still controllable after the interrupt
+            # Each interrupt is spent by the call it stopped: every later
+            # resume runs for its whole deadline, and the step after them
+            # is a plain step.
+            for _ in range(2):
+                start = time.monotonic()
+                tracker.resume(timeout=self.TIMEOUT)
+                assert time.monotonic() - start >= self.TIMEOUT
+            tracker.step()
             assert tracker.pause_reason.type is PauseReasonType.STEP
         finally:
             tracker.terminate()
