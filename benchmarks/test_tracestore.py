@@ -73,16 +73,12 @@ def big_recording(tmp_path_factory):
 def _naive_history(view, name):
     """The full scan the index replaces: reconstruct every snapshot,
     render the variable, record each change."""
-    from repro.core.tracestore import _render_value_tree_from_value
-
     changes = []
     previous = object()
     for position in range(view.first_index, view.last_index + 1):
         variable = view.at(position).lookup(name)
         rendered = (
-            _render_value_tree_from_value(variable.value)
-            if variable is not None
-            else None
+            variable.value.chase().render() if variable is not None else None
         )
         if rendered != previous:
             changes.append((position, rendered))

@@ -383,14 +383,31 @@ def value_to_dict(value: Value) -> Dict[str, Any]:
     are not: the back-edge is cut and serialized as an ``INVALID`` value
     that keeps the target's address, so a viewer can still show where the
     cycle pointed.
+
+    A value reached twice (a heap object shared by two variables) is
+    encoded once: both places hold the same dict, so the tree is
+    read-only. Only a subtree whose encoding cut no back-edge is shared;
+    such a subtree reaches no cycle and encodes the same on every path.
     """
-    return _value_to_dict(value, set())
+    return _value_to_dict(value, {}, [])
 
 
-def _value_to_dict(value: Value, active: set) -> Dict[str, Any]:
-    kind = value.abstract_type
+#: Memo mark of a value whose encoding is in progress (a back-edge target).
+_ACTIVE: Dict[str, Any] = {}
+
+
+def _value_to_dict(
+    value: Value, memo: Dict[int, Dict[str, Any]], cuts: List[int]
+) -> Dict[str, Any]:
+    """Encode ``value`` with ``memo`` (``id`` of a value → its encoding,
+    or :data:`_ACTIVE` while it is being encoded) shared by one top-level
+    call; ``cuts`` grows by one per back-edge cut."""
     marker = id(value)
-    if marker in active:
+    encoded = memo.get(marker)
+    if encoded is not None:
+        if encoded is not _ACTIVE:
+            return encoded
+        cuts.append(marker)
         return {
             "abstract_type": AbstractType.INVALID.value,
             "content": None,
@@ -398,33 +415,34 @@ def _value_to_dict(value: Value, active: set) -> Dict[str, Any]:
             "address": value.address,
             "language_type": value.language_type,
         }
-    active.add(marker)
-    try:
-        content: Any
-        if kind is AbstractType.REF:
-            content = _value_to_dict(value.content, active)
-        elif kind is AbstractType.LIST:
-            content = [_value_to_dict(v, active) for v in value.content]
-        elif kind is AbstractType.DICT:
-            content = [
-                [_value_to_dict(k, active), _value_to_dict(v, active)]
-                for k, v in value.content.items()
-            ]
-        elif kind is AbstractType.STRUCT:
-            content = {
-                name: _value_to_dict(v, active)
-                for name, v in value.content.items()
-            }
-        elif kind is AbstractType.PRIMITIVE and isinstance(value.content, bytes):
-            content = {"__bytes__": value.content.decode("latin-1")}
-        else:
-            content = value.content
-    finally:
-        active.discard(marker)
+    memo[marker] = _ACTIVE
+    seen_cuts = len(cuts)
+    kind = value.abstract_type
+    content: Any
+    if kind is AbstractType.REF:
+        content = _value_to_dict(value.content, memo, cuts)
+    elif kind is AbstractType.LIST:
+        content = [_value_to_dict(v, memo, cuts) for v in value.content]
+    elif kind is AbstractType.DICT:
+        content = [
+            [_value_to_dict(k, memo, cuts), _value_to_dict(v, memo, cuts)]
+            for k, v in value.content.items()
+        ]
+    elif kind is AbstractType.STRUCT:
+        content = {
+            name: _value_to_dict(v, memo, cuts)
+            for name, v in value.content.items()
+        }
+    elif kind is AbstractType.PRIMITIVE and isinstance(value.content, bytes):
+        content = {"__bytes__": value.content.decode("latin-1")}
+    else:
+        content = value.content
     encoded = {
-        "abstract_type": kind.value,
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # descriptor call, several times slower on every encoded node.
+        "abstract_type": kind._value_,
         "content": content,
-        "location": value.location.value,
+        "location": value.location._value_,
         "address": value.address,
         "language_type": value.language_type,
     }
@@ -432,6 +450,10 @@ def _value_to_dict(value: Value, active: set) -> Dict[str, Any]:
         # Only encoded when set: keeps timeline deltas and pre-existing
         # serialized state byte-compatible for the common full capture.
         encoded["truncated"] = True
+    if len(cuts) == seen_cuts:
+        memo[marker] = encoded
+    else:
+        del memo[marker]
     return encoded
 
 
@@ -500,9 +522,15 @@ class _HashableValueKey(Value):
 
 def variable_to_dict(variable: Variable) -> Dict[str, Any]:
     """Encode a :class:`Variable` as a JSON-serializable dict."""
+    return _variable_to_dict(variable, {}, [])
+
+
+def _variable_to_dict(
+    variable: Variable, memo: Dict[int, Dict[str, Any]], cuts: List[int]
+) -> Dict[str, Any]:
     return {
         "name": variable.name,
-        "value": value_to_dict(variable.value),
+        "value": _value_to_dict(variable.value, memo, cuts),
         "scope": variable.scope,
     }
 
@@ -517,15 +545,27 @@ def variable_from_dict(data: Dict[str, Any]) -> Variable:
 
 
 def frame_to_dict(frame: Frame) -> Dict[str, Any]:
-    """Encode a :class:`Frame` *and its parents* as a JSON-serializable dict."""
+    """Encode a :class:`Frame` *and its parents* as a JSON-serializable dict.
+
+    Values shared between frames are encoded once (see
+    :func:`value_to_dict`).
+    """
+    return _frame_to_dict(frame, {}, [])
+
+
+def _frame_to_dict(
+    frame: Frame, memo: Dict[int, Dict[str, Any]], cuts: List[int]
+) -> Dict[str, Any]:
     encoded = {
         "name": frame.name,
         "depth": frame.depth,
         "variables": {
-            name: variable_to_dict(var)
+            name: _variable_to_dict(var, memo, cuts)
             for name, var in frame.variables.items()
         },
-        "parent": frame_to_dict(frame.parent) if frame.parent else None,
+        "parent": (
+            _frame_to_dict(frame.parent, memo, cuts) if frame.parent else None
+        ),
         "line": frame.line,
         "filename": frame.filename,
     }

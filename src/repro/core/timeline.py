@@ -35,12 +35,12 @@ from repro.core.state import (
     Frame,
     Value,
     Variable,
+    _frame_to_dict,
+    _variable_to_dict,
     frame_from_dict,
-    frame_to_dict,
     value_from_dict,
     value_to_dict,
     variable_from_dict,
-    variable_to_dict,
 )
 
 #: Snapshot event kinds, aligned with the Python Tutor event vocabulary so
@@ -65,6 +65,17 @@ EVENT_EXIT = "exit"
 #
 # Snapshot trees only use the fixed key names of the state codecs plus
 # variable names, so the "$"-prefixed marker keys cannot collide with data.
+#
+# The diff and ``trees_equal`` are strict: ``True`` != ``1`` != ``1.0``,
+# which a plain ``==`` on containers conflates. A value dict (the output of
+# ``value_to_dict``) is still compared with one ``==``: its
+# ``language_type`` fixes the type of its scalar content, and every scalar
+# below it sits in another value dict. A tree that breaks that contract (a
+# ``bool`` content under an ``int`` tag) may diff as unchanged.
+
+
+def _is_value_dict(tree: Dict[str, Any]) -> bool:
+    return "language_type" in tree and "abstract_type" in tree
 
 
 def diff_tree(old: Any, new: Any) -> Optional[Any]:
@@ -73,6 +84,8 @@ def diff_tree(old: Any, new: Any) -> Optional[Any]:
         return None
     if type(old) is type(new):
         if isinstance(old, dict):
+            if _is_value_dict(old) and old == new:
+                return None
             removed = [key for key in old if key not in new]
             added: Dict[str, Any] = {}
             patched: Dict[str, Any] = {}
@@ -80,7 +93,10 @@ def diff_tree(old: Any, new: Any) -> Optional[Any]:
                 if key not in old:
                     added[key] = value
                 else:
-                    patch = diff_tree(old[key], value)
+                    prior = old[key]
+                    if prior is value:
+                        continue
+                    patch = diff_tree(prior, value)
                     if patch is not None:
                         patched[key] = patch
             if not (removed or added or patched):
@@ -152,6 +168,8 @@ def trees_equal(a: Any, b: Any) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, dict):
+        if _is_value_dict(a):
+            return a == b
         if a.keys() != b.keys():
             return False
         return all(trees_equal(value, b[key]) for key, value in a.items())
@@ -286,11 +304,17 @@ class StateSnapshot:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Encode as a JSON-serializable tree (the delta-codec substrate)."""
+        """Encode as a JSON-serializable tree (the delta-codec substrate).
+
+        A value that frames and globals share is encoded once and held by
+        reference (see :func:`repro.core.state.value_to_dict`).
+        """
+        memo: Dict[int, Dict[str, Any]] = {}
+        cuts: List[int] = []
         encoded = {
-            "frame": frame_to_dict(self.frame) if self.frame else None,
+            "frame": _frame_to_dict(self.frame, memo, cuts) if self.frame else None,
             "globals": {
-                name: variable_to_dict(variable)
+                name: _variable_to_dict(variable, memo, cuts)
                 for name, variable in self.globals.items()
             },
             "filename": self.filename,

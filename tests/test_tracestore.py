@@ -249,6 +249,32 @@ class TestSpillParity:
         view.goto(-1)
         tracker.terminate()
 
+    def test_segment_and_manifest_text_is_compact_json(self, tmp_path):
+        shared = {"abstract_type": "primitive", "content": "é", "location":
+                  "heap", "address": 1, "language_type": "str"}
+        segment = {
+            "key": {"globals": {"a": shared, "b": shared}, "line": 3},
+            "deltas": [None, {"$r": [True, 1.0]}, {"$d": {"del": ["a"]}}],
+        }
+        tracedir = str(tmp_path / "run.tracedir")
+        spool = SegmentSpool(tracedir, create=True)
+        spool.spill(segment, 10)
+        spool.spill({"key": shared, "deltas": []}, 14)
+        with open(os.path.join(tracedir, "segment-00000.json")) as handle:
+            assert handle.read() == json.dumps(segment, separators=(",", ":"))
+        with open(os.path.join(tracedir, "segment-00001.json")) as handle:
+            assert handle.read() == json.dumps(
+                {"key": shared, "deltas": []}, separators=(",", ":")
+            )
+        with open(os.path.join(tracedir, "manifest.json")) as handle:
+            text = handle.read()
+        assert text == json.dumps(json.loads(text), separators=(",", ":"))
+        reopened = SegmentSpool.open(tracedir)
+        assert reopened.load(13) == (10, segment)
+        assert reopened.load(14)[0] == 14
+        with pytest.raises(TraceStoreError):
+            reopened.load(9)
+
     def test_eviction_without_spool_still_drops(self, program):
         tracker = _record(program, keyframe_interval=4, max_snapshots=5)
         timeline = tracker.timeline
