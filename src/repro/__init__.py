@@ -72,8 +72,8 @@ _SOURCES = {
         "register_tracker",
         "value_from_dict",
         "value_to_dict",
-        "variable_from_dict",
-        "variable_to_dict",
+        "variables_from_dict",
+        "variables_to_dict",
     ),
     "repro.core.threads": ("TaskInfo", "ThreadInfo"),
     "repro.tools.equivalence": (

@@ -9,9 +9,9 @@ A ``Value`` carries an :class:`AbstractType` describing the *nature* of its
 (e.g. ``"char*"`` for a C string, ``"tuple"`` for a Python tuple).
 
 All classes in this module are plain data and round-trip through JSON via
-:func:`value_to_dict` / :func:`value_from_dict` and friends, so state can
-cross process boundaries (the GDB-style tracker pipes it from the debug
-server) and feed web front-ends.
+:class:`HeapEncoder` / :class:`HeapDecoder` (one heap table per tree, each
+shared value written once), so state can cross process boundaries (the
+GDB-style tracker pipes it from the debug server) and feed web front-ends.
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ class Value:
     def render(self) -> str:
         """A compact, human-readable rendering used by the bundled tools.
 
-        Cyclic value graphs are legal in the model (see :meth:`walk` and
-        :func:`value_to_dict`, which both cut back-edges); a back-edge
-        renders as ``<...>``. Sharing that is not cyclic renders fully.
+        Cyclic value graphs are legal in the model (live captures and
+        decoded trees both hold them); a back-edge renders as ``<...>``.
+        Sharing that is not cyclic renders fully.
         """
         return self._render(set())
 
@@ -366,149 +366,21 @@ def _freeze(key: Any) -> Any:
     return key
 
 
-# ---------------------------------------------------------------------------
-# JSON (de)serialization.
-#
-# DICT values may have non-string keys, so they are encoded as a list of
-# [key, value] pairs. Every dict below uses plain strings and JSON scalars
-# only, so ``json.dumps`` works directly on the result.
-# ---------------------------------------------------------------------------
-
-
-def value_to_dict(value: Value) -> Dict[str, Any]:
-    """Encode a :class:`Value` (recursively) as a JSON-serializable dict.
-
-    Cyclic value graphs (a list containing itself, via REFs) are legal in
-    the model — decoded Python Tutor heaps produce them — but JSON trees
-    are not: the back-edge is cut and serialized as an ``INVALID`` value
-    that keeps the target's address, so a viewer can still show where the
-    cycle pointed.
-
-    A value reached twice (a heap object shared by two variables) is
-    encoded once: both places hold the same dict, so the tree is
-    read-only. Only a subtree whose encoding cut no back-edge is shared;
-    such a subtree reaches no cycle and encodes the same on every path.
-    """
-    return _value_to_dict(value, {}, [])
-
-
-#: Memo mark of a value whose encoding is in progress (a back-edge target).
-_ACTIVE: Dict[str, Any] = {}
-
-
-def _value_to_dict(
-    value: Value, memo: Dict[int, Dict[str, Any]], cuts: List[int]
-) -> Dict[str, Any]:
-    """Encode ``value`` with ``memo`` (``id`` of a value → its encoding,
-    or :data:`_ACTIVE` while it is being encoded) shared by one top-level
-    call; ``cuts`` grows by one per back-edge cut."""
-    marker = id(value)
-    encoded = memo.get(marker)
-    if encoded is not None:
-        if encoded is not _ACTIVE:
-            return encoded
-        cuts.append(marker)
-        return {
-            "abstract_type": AbstractType.INVALID.value,
-            "content": None,
-            "location": value.location.value,
-            "address": value.address,
-            "language_type": value.language_type,
-        }
-    memo[marker] = _ACTIVE
-    seen_cuts = len(cuts)
-    kind = value.abstract_type
-    content: Any
-    if kind is AbstractType.REF:
-        content = _value_to_dict(value.content, memo, cuts)
-    elif kind is AbstractType.LIST:
-        content = [_value_to_dict(v, memo, cuts) for v in value.content]
-    elif kind is AbstractType.DICT:
-        content = [
-            [_value_to_dict(k, memo, cuts), _value_to_dict(v, memo, cuts)]
-            for k, v in value.content.items()
-        ]
-    elif kind is AbstractType.STRUCT:
-        content = {
-            name: _value_to_dict(v, memo, cuts)
-            for name, v in value.content.items()
-        }
-    elif kind is AbstractType.PRIMITIVE and isinstance(value.content, bytes):
-        content = {"__bytes__": value.content.decode("latin-1")}
-    else:
-        content = value.content
-    encoded = {
-        # ``_value_`` is the member's plain attribute; ``.value`` is a
-        # descriptor call, several times slower on every encoded node.
-        "abstract_type": kind._value_,
-        "content": content,
-        "location": value.location._value_,
-        "address": value.address,
-        "language_type": value.language_type,
-    }
-    if value.truncated:
-        # Only encoded when set: keeps timeline deltas and pre-existing
-        # serialized state byte-compatible for the common full capture.
-        encoded["truncated"] = True
-    if len(cuts) == seen_cuts:
-        memo[marker] = encoded
-    else:
-        del memo[marker]
-    return encoded
-
-
-def value_from_dict(data: Dict[str, Any]) -> Value:
-    """Decode the output of :func:`value_to_dict` back into a :class:`Value`."""
-    kind = AbstractType(data["abstract_type"])
-    raw = data["content"]
-    content: Any
-    if kind is AbstractType.REF:
-        content = value_from_dict(raw)
-    elif kind is AbstractType.LIST:
-        content = tuple(value_from_dict(v) for v in raw)
-    elif kind is AbstractType.DICT:
-        content = {
-            _HashableValueKey.wrap(value_from_dict(k)): value_from_dict(v)
-            for k, v in raw
-        }
-    elif kind is AbstractType.STRUCT:
-        content = {name: value_from_dict(v) for name, v in raw.items()}
-    elif kind is AbstractType.PRIMITIVE and isinstance(raw, dict):
-        content = raw["__bytes__"].encode("latin-1")
-    else:
-        content = raw
-    return Value(
-        abstract_type=kind,
-        content=content,
-        location=Location(data["location"]),
-        address=data["address"],
-        language_type=data["language_type"],
-        truncated=bool(data.get("truncated", False)),
-    )
 
 
 class _HashableValueKey(Value):
-    """A :class:`Value` usable as a dict key after deserialization.
-
-    In-process trackers build DICT contents keyed by the live ``Value``
-    objects (identity hashing works there). After a round-trip through JSON
-    the keys are fresh objects, so we give them structural hashing based on
-    the rendered form, which is stable and cheap for the small dictionaries
-    found in teaching programs.
-    """
+    """A :class:`Value` usable as a DICT content key: ``Value`` hashes by
+    identity, so capture and the decoder key a DICT by wrapped copies that
+    hash and compare by their rendering (cheap for the small dictionaries
+    of teaching programs)."""
 
     @classmethod
     def wrap(cls, value: Value) -> "_HashableValueKey":
         wrapped = cls.__new__(cls)
-        wrapped.abstract_type = value.abstract_type
-        wrapped.content = value.content
-        wrapped.location = value.location
-        wrapped.address = value.address
-        wrapped.language_type = value.language_type
-        wrapped.truncated = value.truncated
+        wrapped.__dict__.update(value.__dict__)
         return wrapped
 
-    def __hash__(self) -> int:  # pragma: no cover - trivial
+    def __hash__(self) -> int:
         return hash((self.abstract_type, self.render()))
 
     def __eq__(self, other: object) -> bool:
@@ -520,73 +392,241 @@ class _HashableValueKey(Value):
         )
 
 
-def variable_to_dict(variable: Variable) -> Dict[str, Any]:
-    """Encode a :class:`Variable` as a JSON-serializable dict."""
-    return _variable_to_dict(variable, {}, [])
+# ---------------------------------------------------------------------------
+# JSON (de)serialization: one heap table per tree (a snapshot, an MI reply,
+# a standalone value). Every container and every value with an address
+# (every REF target a backend builds has one) is one ``heap`` entry under
+# "<address>:<language_type>", held by that key everywhere else; scalars
+# without an address and Python variables' address-less REFs are inline,
+# except a REF to a REF, so a cycle of REFs goes through a key too. Address
+# alone is not a key: a mini-C array and its first element share one. A
+# key another Value holds gets "#<n>" appended, and an address-less
+# container gets "#<n>"; such keys are local to their tree, the others
+# name one object of one paused state.
+# ---------------------------------------------------------------------------
+
+#: Plain-string tags: an enum member hashes through a Python ``__hash__``.
+_CONTAINERS = frozenset(("list", "dict", "struct"))
+#: What the decoder builds as an empty shell and fills in afterwards.
+_SHELLS = _CONTAINERS | {"ref"}
+_ABSTRACT_TYPES = {member.value: member for member in AbstractType}
+_LOCATIONS = {member.value: member for member in Location}
 
 
-def _variable_to_dict(
-    variable: Variable, memo: Dict[int, Dict[str, Any]], cuts: List[int]
-) -> Dict[str, Any]:
-    return {
-        "name": variable.name,
-        "value": _value_to_dict(variable.value, memo, cuts),
-        "scope": variable.scope,
-    }
+class HeapEncoder:
+    """Encodes the values of one tree into one heap table, :attr:`heap`."""
+
+    def __init__(self) -> None:
+        self.heap: Dict[str, Dict[str, Any]] = {}
+        self._keys: Dict[int, str] = {}  # id of an interned Value -> key
+        self._locals = 0
+
+    def value(self, value: Value) -> Any:
+        """The position of ``value``: its heap key, or its inline dict."""
+        marker = id(value)
+        key = self._keys.get(marker)
+        if key is not None:
+            return key
+        tag = value.abstract_type._value_
+        heap = self.heap
+        if value.address is not None:
+            key = f"{value.address}:{value.language_type}"
+            if key in heap:
+                key = self._local_key(key)
+        elif tag in _CONTAINERS or (
+            tag == "ref" and value.content.abstract_type is AbstractType.REF
+        ):
+            key = self._local_key("")
+        else:
+            return self._encode(value)
+        self._keys[marker] = key
+        if tag in _SHELLS:
+            heap[key] = {}  # claimed first: the contents may lead back here
+        heap[key] = self._encode(value)
+        return key
+
+    def variables(self, variables: Dict[str, Variable]) -> Dict[str, Any]:
+        """A name -> :class:`Variable` map, values by position."""
+        return {
+            name: {
+                "name": variable.name,
+                "value": self.value(variable.value),
+                "scope": variable.scope,
+            }
+            for name, variable in variables.items()
+        }
+
+    def frame(self, frame: Frame) -> Dict[str, Any]:
+        """A frame and its parent chain (each frame nests its parent)."""
+        encoded = {
+            "name": frame.name,
+            "depth": frame.depth,
+            "variables": self.variables(frame.variables),
+            "parent": self.frame(frame.parent) if frame.parent else None,
+            "line": frame.line,
+            "filename": frame.filename,
+        }
+        if frame.thread is not None:  # only when set, like truncated
+            encoded["thread"] = frame.thread
+        return encoded
+
+    def _local_key(self, base: str) -> str:
+        self._locals += 1
+        return f"{base}#{self._locals}"
+
+    def _encode(self, value: Value) -> Dict[str, Any]:
+        kind = value.abstract_type
+        position = self.value
+        content: Any = value.content
+        if kind is AbstractType.PRIMITIVE:
+            if isinstance(content, bytes):
+                content = {"__bytes__": content.decode("latin-1")}
+        elif kind is AbstractType.REF:
+            content = position(content)
+        elif kind is AbstractType.LIST:
+            content = [position(item) for item in content]
+        elif kind is AbstractType.DICT:
+            # A key is a copy of a value that may have its own entry, so
+            # only a container key is written to the heap.
+            content = [
+                [
+                    position(key)
+                    if key.abstract_type._value_ in _CONTAINERS
+                    else self._encode(key),
+                    position(item),
+                ]
+                for key, item in content.items()
+            ]
+        elif kind is AbstractType.STRUCT:
+            content = {name: position(item) for name, item in content.items()}
+        encoded = {
+            # ``_value_`` is a plain attribute; ``.value`` is a descriptor.
+            "abstract_type": kind._value_,
+            "content": content,
+            "location": value.location._value_,
+            "address": value.address,
+            "language_type": value.language_type,
+        }
+        if value.truncated:  # only when set: full captures stay small
+            encoded["truncated"] = True
+        return encoded
 
 
-def variable_from_dict(data: Dict[str, Any]) -> Variable:
-    """Decode the output of :func:`variable_to_dict`."""
-    return Variable(
-        name=data["name"],
-        value=value_from_dict(data["value"]),
-        scope=data["scope"],
-    )
+#: Content of a REF shell until the decoder fills it in.
+_PENDING = Value(AbstractType.NONE, None)
+
+
+class HeapDecoder:
+    """Decodes the positions of one tree against its heap table: one key
+    yields one :class:`Value`. Entries are built as shells and filled
+    after, as capture builds them, so a cycle decodes as a cycle.
+
+    ``table`` (key -> Value) may be shared by the trees of one paused
+    state; keys local to a tree (with a "#") stay out of it.
+    """
+
+    def __init__(
+        self, heap: Dict[str, Any], table: Optional[Dict[str, Value]] = None
+    ) -> None:
+        self._heap = heap
+        self._table: Dict[str, Value] = {} if table is None else table
+        self._local: Dict[str, Value] = {}
+        self._unfilled: List[Tuple[Value, Any]] = []
+
+    def value(self, position: Any) -> Value:
+        """The :class:`Value` at ``position`` (a key or an inline dict)."""
+        value = self._resolve(position)
+        while self._unfilled:
+            self._fill(*self._unfilled.pop())
+        return value
+
+    def variables(self, data: Dict[str, Any]) -> Dict[str, Variable]:
+        """Decode :meth:`HeapEncoder.variables` output."""
+        return {
+            name: Variable(var["name"], self.value(var["value"]), var["scope"])
+            for name, var in data.items()
+        }
+
+    def frame(self, data: Dict[str, Any]) -> Frame:
+        """Decode :meth:`HeapEncoder.frame` output (parents linked)."""
+        return Frame(
+            name=data["name"],
+            depth=data["depth"],
+            variables=self.variables(data["variables"]),
+            parent=self.frame(data["parent"]) if data["parent"] else None,
+            line=data["line"],
+            filename=data["filename"],
+            thread=data.get("thread"),
+        )
+
+    def _resolve(self, position: Any) -> Value:
+        if position.__class__ is not str:
+            return self._build(position)
+        table = self._local if "#" in position else self._table
+        value = table.get(position)
+        if value is None:
+            value = table[position] = self._build(self._heap[position])
+        return value
+
+    def _build(self, data: Dict[str, Any]) -> Value:
+        tag, raw = data["abstract_type"], data["content"]
+        content: Any = raw
+        if tag in _SHELLS:
+            content = _PENDING if tag == "ref" else () if tag == "list" else {}
+        elif raw.__class__ is dict:
+            content = raw["__bytes__"].encode("latin-1")
+        value = Value(
+            _ABSTRACT_TYPES[tag], content, _LOCATIONS[data["location"]],
+            data["address"], data["language_type"], "truncated" in data,
+        )
+        if tag in _SHELLS:
+            self._unfilled.append((value, raw))
+        return value
+
+    def _fill(self, value: Value, raw: Any) -> None:
+        kind = value.abstract_type
+        resolve = self._resolve
+        if kind is AbstractType.REF:
+            value.content = resolve(raw)
+        elif kind is AbstractType.LIST:
+            value.content = tuple([resolve(item) for item in raw])
+        elif kind is AbstractType.STRUCT:
+            value.content = {name: resolve(item) for name, item in raw.items()}
+        else:  # a key is hashed when inserted: decode it whole first
+            value.content = {
+                _HashableValueKey.wrap(self.value(key)): resolve(item)
+                for key, item in raw
+            }
+
+
+def value_to_dict(value: Value) -> Dict[str, Any]:
+    """Encode a :class:`Value` as ``{"value": position, "heap": {...}}``."""
+    encoder = HeapEncoder()
+    return {"value": encoder.value(value), "heap": encoder.heap}
+
+
+def value_from_dict(data: Dict[str, Any], table: Any = None) -> Value:
+    """Decode :func:`value_to_dict` output (``table``: see HeapDecoder)."""
+    return HeapDecoder(data["heap"], table).value(data["value"])
+
+
+def variables_to_dict(variables: Dict[str, Variable]) -> Dict[str, Any]:
+    """Encode a name -> :class:`Variable` map as ``{"variables", "heap"}``."""
+    encoder = HeapEncoder()
+    return {"variables": encoder.variables(variables), "heap": encoder.heap}
+
+
+def variables_from_dict(data: Dict[str, Any], table: Any = None) -> Dict[str, Variable]:
+    """Decode :func:`variables_to_dict` output."""
+    return HeapDecoder(data["heap"], table).variables(data["variables"])
 
 
 def frame_to_dict(frame: Frame) -> Dict[str, Any]:
-    """Encode a :class:`Frame` *and its parents* as a JSON-serializable dict.
-
-    Values shared between frames are encoded once (see
-    :func:`value_to_dict`).
-    """
-    return _frame_to_dict(frame, {}, [])
+    """Encode a :class:`Frame` and its parents as ``{"frame", "heap"}``."""
+    encoder = HeapEncoder()
+    return {"frame": encoder.frame(frame), "heap": encoder.heap}
 
 
-def _frame_to_dict(
-    frame: Frame, memo: Dict[int, Dict[str, Any]], cuts: List[int]
-) -> Dict[str, Any]:
-    encoded = {
-        "name": frame.name,
-        "depth": frame.depth,
-        "variables": {
-            name: _variable_to_dict(var, memo, cuts)
-            for name, var in frame.variables.items()
-        },
-        "parent": (
-            _frame_to_dict(frame.parent, memo, cuts) if frame.parent else None
-        ),
-        "line": frame.line,
-        "filename": frame.filename,
-    }
-    if frame.thread is not None:
-        # Only encoded when set, like Value.truncated: single-threaded
-        # captures and old recordings stay byte-compatible.
-        encoded["thread"] = frame.thread
-    return encoded
-
-
-def frame_from_dict(data: Dict[str, Any]) -> Frame:
-    """Decode the output of :func:`frame_to_dict`."""
-    return Frame(
-        name=data["name"],
-        depth=data["depth"],
-        variables={
-            name: variable_from_dict(var)
-            for name, var in data["variables"].items()
-        },
-        parent=frame_from_dict(data["parent"]) if data["parent"] else None,
-        line=data["line"],
-        filename=data["filename"],
-        thread=data.get("thread"),
-    )
+def frame_from_dict(data: Dict[str, Any], table: Any = None) -> Frame:
+    """Decode :func:`frame_to_dict` output."""
+    return HeapDecoder(data["heap"], table).frame(data["frame"])

@@ -8,8 +8,9 @@ attaches to any tracker and, at every pause, captures a
 frames/globals/position/stdout/exit state — into a :class:`Timeline`.
 
 Storage is delta-compressed: each snapshot serializes to a JSON tree
-(built on :func:`repro.core.state.frame_to_dict` and friends) and the
-timeline stores a structural diff against the previous tree, with a full
+(frames, globals and one heap table, built by
+:class:`repro.core.state.HeapEncoder`) and the timeline stores a
+structural diff against the previous tree, with a full
 *keyframe* every ``keyframe_interval`` snapshots and an optional bounded
 ring buffer (whole keyframe-led segments are evicted from the front, so
 reconstruction never needs an evicted base).
@@ -31,17 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ProgramLoadError, TraceStoreError, TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import (
-    Frame,
-    Value,
-    Variable,
-    _frame_to_dict,
-    _variable_to_dict,
-    frame_from_dict,
-    value_from_dict,
-    value_to_dict,
-    variable_from_dict,
-)
+from repro.core.state import Frame, HeapDecoder, HeapEncoder, Value, Variable
 
 #: Snapshot event kinds, aligned with the Python Tutor event vocabulary so
 #: PT trace steps convert losslessly (EVENT_CALL == "call" and so on).
@@ -67,11 +58,12 @@ EVENT_EXIT = "exit"
 # variable names, so the "$"-prefixed marker keys cannot collide with data.
 #
 # The diff and ``trees_equal`` are strict: ``True`` != ``1`` != ``1.0``,
-# which a plain ``==`` on containers conflates. A value dict (the output of
-# ``value_to_dict``) is still compared with one ``==``: its
-# ``language_type`` fixes the type of its scalar content, and every scalar
-# below it sits in another value dict. A tree that breaks that contract (a
-# ``bool`` content under an ``int`` tag) may diff as unchanged.
+# which a plain ``==`` on containers conflates. A value dict (a heap entry
+# or an inline value of :class:`~repro.core.state.HeapEncoder`) is still
+# compared with one ``==``: its ``language_type`` fixes the type of its
+# scalar content, and every other scalar below it is a heap key string or
+# sits in another value dict. A tree that breaks that contract (a ``bool``
+# content under an ``int`` tag) may diff as unchanged.
 
 
 def _is_value_dict(tree: Dict[str, Any]) -> bool:
@@ -209,8 +201,7 @@ class StateSnapshot:
             used by replay-side control-point evaluation.
         func_name: name of the innermost function, for replay matching.
         thread: index of the inferior thread that produced this pause
-            (``None`` on single-threaded captures, keeping old recordings
-            and their deltas byte-compatible).
+            (``None`` on single-threaded captures).
 
     Snapshots are immutable by contract; equality is *structural* over the
     serialized tree (two snapshots captured from identical states compare
@@ -306,47 +297,42 @@ class StateSnapshot:
     def to_dict(self) -> Dict[str, Any]:
         """Encode as a JSON-serializable tree (the delta-codec substrate).
 
-        A value that frames and globals share is encoded once and held by
-        reference (see :func:`repro.core.state.value_to_dict`).
+        Frames, globals and the reason share one ``heap`` table: a value
+        they share is one entry that each of them holds by key (see
+        :class:`repro.core.state.HeapEncoder`).
         """
-        memo: Dict[int, Dict[str, Any]] = {}
-        cuts: List[int] = []
+        encoder = HeapEncoder()
         encoded = {
-            "frame": _frame_to_dict(self.frame, memo, cuts) if self.frame else None,
-            "globals": {
-                name: _variable_to_dict(variable, memo, cuts)
-                for name, variable in self.globals.items()
-            },
+            "frame": encoder.frame(self.frame) if self.frame else None,
+            "globals": encoder.variables(self.globals),
             "filename": self.filename,
             "line": self.line,
             "depth": self.depth,
             "stdout": self.stdout,
             "exit_code": self.exit_code,
-            "reason": _reason_to_dict(self.reason),
+            "reason": _reason_to_dict(self.reason, encoder),
             "event": self.event,
             "func_name": self.func_name,
+            "heap": encoder.heap,
         }
-        if self.thread is not None:
-            # Only-when-set, like Value.truncated: single-threaded
-            # recordings keep their seed-era byte layout.
+        if self.thread is not None:  # only when set, like Value.truncated
             encoded["thread"] = self.thread
         return encoded
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "StateSnapshot":
-        """Decode the output of :meth:`to_dict`."""
+        """Decode the output of :meth:`to_dict` (one table: a key shared
+        by frames, globals and reason decodes to one :class:`Value`)."""
+        decoder = HeapDecoder(data["heap"])
         return cls(
-            frame=frame_from_dict(data["frame"]) if data["frame"] else None,
-            globals={
-                name: variable_from_dict(variable)
-                for name, variable in data.get("globals", {}).items()
-            },
+            frame=decoder.frame(data["frame"]) if data["frame"] else None,
+            globals=decoder.variables(data.get("globals", {})),
             filename=data.get("filename", ""),
             line=data.get("line"),
             depth=data.get("depth", 0),
             stdout=data.get("stdout", ""),
             exit_code=data.get("exit_code"),
-            reason=_reason_from_dict(data.get("reason")),
+            reason=_reason_from_dict(data.get("reason"), decoder),
             event=data.get("event", EVENT_LINE),
             func_name=data.get("func_name"),
             thread=data.get("thread"),
@@ -378,16 +364,18 @@ def _event_for_reason(reason: Optional[PauseReason]) -> str:
     return EVENT_LINE
 
 
-def _reason_to_dict(reason: Optional[PauseReason]) -> Optional[Dict[str, Any]]:
+def _reason_to_dict(
+    reason: Optional[PauseReason], encoder: HeapEncoder
+) -> Optional[Dict[str, Any]]:
     if reason is None:
         return None
     encoded = {
         "type": reason.type.value,
         "function": reason.function,
         "variable": reason.variable,
-        "old_value": _wrap_value(reason.old_value),
-        "new_value": _wrap_value(reason.new_value),
-        "return_value": _wrap_value(reason.return_value),
+        "old_value": _wrap_value(reason.old_value, encoder),
+        "new_value": _wrap_value(reason.new_value, encoder),
+        "return_value": _wrap_value(reason.return_value, encoder),
         "line": reason.line,
     }
     if reason.thread is not None:
@@ -399,16 +387,18 @@ def _reason_to_dict(reason: Optional[PauseReason]) -> Optional[Dict[str, Any]]:
     return encoded
 
 
-def _reason_from_dict(data: Optional[Dict[str, Any]]) -> Optional[PauseReason]:
+def _reason_from_dict(
+    data: Optional[Dict[str, Any]], decoder: HeapDecoder
+) -> Optional[PauseReason]:
     if data is None:
         return None
     return PauseReason(
         type=PauseReasonType(data["type"]),
         function=data.get("function"),
         variable=data.get("variable"),
-        old_value=_unwrap_value(data.get("old_value")),
-        new_value=_unwrap_value(data.get("new_value")),
-        return_value=_unwrap_value(data.get("return_value")),
+        old_value=_unwrap_value(data.get("old_value"), decoder),
+        new_value=_unwrap_value(data.get("new_value"), decoder),
+        return_value=_unwrap_value(data.get("return_value"), decoder),
         line=data.get("line"),
         thread=data.get("thread"),
         thread_name=data.get("thread_name"),
@@ -416,17 +406,18 @@ def _reason_from_dict(data: Optional[Dict[str, Any]]) -> Optional[PauseReason]:
     )
 
 
-def _wrap_value(payload: Any) -> Any:
+def _wrap_value(payload: Any, encoder: HeapEncoder) -> Any:
     """Reason payloads are usually rendered strings, but RETURN may carry
-    a model :class:`Value`; tag it so the round trip is unambiguous."""
+    a model :class:`Value`; tag its position in the snapshot's heap so the
+    round trip is unambiguous."""
     if isinstance(payload, Value):
-        return {"$value": value_to_dict(payload)}
+        return {"$value": encoder.value(payload)}
     return payload
 
 
-def _unwrap_value(payload: Any) -> Any:
+def _unwrap_value(payload: Any, decoder: HeapDecoder) -> Any:
     if isinstance(payload, dict) and "$value" in payload:
-        return value_from_dict(payload["$value"])
+        return decoder.value(payload["$value"])
     return payload
 
 
@@ -456,7 +447,8 @@ class Timeline:
     """
 
     FORMAT = "repro-timeline"
-    VERSION = 1
+    #: 2: one heap table per snapshot tree; version 1 is refused.
+    VERSION = 2
 
     def __init__(
         self,
@@ -566,7 +558,6 @@ class Timeline:
         previous = self._last_tree
         last_segment = self._segments[-1] if self._segments else None
         patch: Optional[Any] = None
-        patch_computed = False
         if (
             last_segment is None
             or previous is None
@@ -575,17 +566,15 @@ class Timeline:
             # Keyframe append: the patch is only needed by listeners.
             if self._append_listeners and previous is not None:
                 patch = diff_tree(previous, tree)
-                patch_computed = True
             self._segments.append({"key": tree, "deltas": []})
         else:
             patch = diff_tree(previous, tree)
-            patch_computed = True
             last_segment["deltas"].append(patch)
         self._last_tree = tree
         index = self._count
         self._count += 1
         for listener in self._append_listeners:
-            listener(index, previous, tree, patch if patch_computed else None)
+            listener(index, previous, tree, patch)
         self._evict()
         return index
 
@@ -641,49 +630,24 @@ class Timeline:
                 f"timeline index {index} outside retained window "
                 f"[{self.first_index}, {self._count})"
             )
-        if self._cursor is not None and self._cursor[0] == index:
-            return self._cursor[1]
+        cursor = self._cursor
+        if cursor is not None and cursor[0] == index:
+            return cursor[1]
         if index < self._start_index:
             # Evicted from memory but spilled to disk: load lazily.
-            return self._spooled_tree_at(index)
-        base = self._start_index
-        for segment in self._segments:
-            length = 1 + len(segment["deltas"])
-            if index < base + length:
-                offset = index - base
-                tree = segment["key"]
-                start = 0
-                # Resume from the cached reconstruction when it sits
-                # between this segment's keyframe and the target.
-                if (
-                    self._cursor is not None
-                    and base <= self._cursor[0] < index
-                ):
-                    start = self._cursor[0] - base
-                    tree = self._cursor[1]
-                for delta in segment["deltas"][start:offset]:
-                    tree = apply_patch(tree, delta)
-                self._cursor = (index, tree)
-                return tree
-            base += length
-        raise IndexError(f"timeline index {index} not found")  # pragma: no cover
-
-    def _spooled_tree_at(self, index: int) -> Any:
-        """Reconstruct ``index`` from a spilled (on-disk) segment."""
-        base, segment = self.spool.load(index)
-        tree = segment["key"]
-        offset = index - base
-        # The spilled-segment cursor can also resume mid-segment.
-        if (
-            self._cursor is not None
-            and base <= self._cursor[0] < index
-            and self._cursor[0] - base <= offset
-        ):
-            start = self._cursor[0] - base
-            tree = self._cursor[1]
+            base, segment = self.spool.load(index)
         else:
-            start = 0
-        for delta in segment["deltas"][start:offset]:
+            base = self._start_index
+            for segment in self._segments:
+                if index < base + 1 + len(segment["deltas"]):
+                    break
+                base += 1 + len(segment["deltas"])
+        tree, start = segment["key"], 0
+        # Resume from the cached reconstruction when it sits between this
+        # segment's keyframe and the target.
+        if cursor is not None and base <= cursor[0] < index:
+            tree, start = cursor[1], cursor[0] - base
+        for delta in segment["deltas"][start:index - base]:
             tree = apply_patch(tree, delta)
         self._cursor = (index, tree)
         return tree
@@ -714,6 +678,11 @@ class Timeline:
     def from_dict(cls, data: Dict[str, Any]) -> "Timeline":
         if data.get("format") != cls.FORMAT:
             raise ProgramLoadError("not a repro timeline")
+        if data.get("version") != cls.VERSION:
+            raise ProgramLoadError(
+                f"timeline format version {data.get('version')!r} is not "
+                f"supported (this build reads version {cls.VERSION})"
+            )
         timeline = cls(
             keyframe_interval=data.get("keyframe_interval", 16),
             max_snapshots=data.get("max_snapshots"),

@@ -17,8 +17,9 @@ Three layers, all built on the delta codec the timeline already ships:
   patch that was going to be stored anyway.
 
 - :class:`SegmentSpool` / :class:`TraceStore` — a disk-backed
-  ``.tracedir/`` layout (``manifest.json`` + per-segment blob files, read
-  back through ``mmap``) that recordings spill into: with a spool
+  ``.tracedir/`` layout (``manifest.json``, an append-only segment log
+  and per-segment blob files, read back through ``mmap``) that
+  recordings spill into: with a spool
   attached, ``max_snapshots`` ring-buffer eviction *moves* keyframe-led
   segments to disk instead of dropping them, and reconstruction loads
   them back lazily on query or ``goto``.
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.errors import TraceStoreError, TrackerError
-from repro.core.state import AbstractType, value_from_dict
+from repro.core.state import AbstractType, HeapDecoder
 from repro.core.timeline import (
     EVENT_CALL,
     EVENT_EXIT,
@@ -58,12 +59,14 @@ from repro.core.timeline import (
     Timeline,
     diff_tree,
     load_timeline,
-    trees_equal,
 )
 
 MANIFEST_NAME = "manifest.json"
+#: The append-only log of spilled segments, one JSON entry per line.
+SEGMENT_LOG_NAME = "segments.jsonl"
 TRACEDIR_FORMAT = "repro-tracedir"
-TRACEDIR_VERSION = 1
+#: 2: heap-table snapshot trees and the segment log; version 1 is refused.
+TRACEDIR_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -71,96 +74,77 @@ TRACEDIR_VERSION = 1
 # ---------------------------------------------------------------------------
 #
 # Variable ids use the watchpoint grammar: a plain name is a global, a
-# ``function:name`` id is a local of ``function``. The fast path reads the
-# patch alone (its ``set``/``del``/``sub`` keys *are* the changed names);
-# only when the innermost frame's identity shifts (a call or return
-# re-roots the frame chain, so the structural diff compares unrelated
-# frames) does extraction fall back to comparing the two flattened
-# variable maps — still only the visible variables, never the inferior.
+# ``function:name`` id is a local of ``function``. A variable's own entry
+# in a snapshot tree is small: an inline value, or the key of its heap
+# entry. A variable changed when that entry differs between the two trees,
+# or when it reaches (through heap keys) an entry the patch modifies. The
+# heap holds each shared value once, so one mutation is one modified entry
+# however many names reach it.
 
 
-def _flatten_frame_vars(frame_tree: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """``function:name`` → value tree over a whole frame chain.
+def _flatten_vars(tree: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """Variable id -> its entry, over a snapshot tree's frames and globals.
 
     Innermost occurrence wins for recursive frames, matching
     :meth:`StateSnapshot.lookup`.
     """
     flat: Dict[str, Any] = {}
-    while frame_tree:
-        name = frame_tree.get("name") or "?"
-        for var, data in (frame_tree.get("variables") or {}).items():
-            flat.setdefault(f"{name}:{var}", (data or {}).get("value"))
-        frame_tree = frame_tree.get("parent")
-    return flat
-
-
-def _flatten_vars(tree: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """All visible variables of a snapshot tree, by variable id."""
     if not tree:
-        return {}
-    flat = _flatten_frame_vars(tree.get("frame"))
+        return flat
+    frame = tree.get("frame")
+    while frame:
+        name = frame.get("name") or "?"
+        for var, data in frame["variables"].items():
+            flat.setdefault(f"{name}:{var}", data["value"])
+        frame = frame.get("parent")
     for var, data in (tree.get("globals") or {}).items():
-        flat.setdefault(var, (data or {}).get("value"))
+        flat.setdefault(var, data["value"])
     return flat
 
 
-def _map_diff(old: Dict[str, Any], new: Dict[str, Any]) -> Set[str]:
-    changed = set()
-    for key in old.keys() | new.keys():
-        if key not in old or key not in new:
-            changed.add(key)
-        elif not trees_equal(old[key], new[key]):
-            changed.add(key)
-    return changed
+def _key_of(position: Any) -> Optional[str]:
+    """The heap key a position holds: the key itself, or the target of an
+    inline REF (a REF to a REF is a heap entry, so this is one level)."""
+    if position.__class__ is str:
+        return position
+    if position["abstract_type"] == "ref":
+        target = position["content"]
+        if target.__class__ is str:
+            return target
+    return None
 
 
-def _dict_patch_keys(patch: Any) -> Optional[Set[str]]:
-    """Changed keys named by a dict patch, or ``None`` if unreadable."""
-    if not isinstance(patch, dict) or "$d" not in patch:
-        return None
-    edit = patch["$d"]
-    keys: Set[str] = set(edit.get("set", {}))
-    keys.update(edit.get("del", ()))
-    keys.update(edit.get("sub", {}))
-    return keys
-
-
-def _frame_changes(
-    prev: Optional[Dict[str, Any]],
-    new: Optional[Dict[str, Any]],
-    patch: Any,
-) -> Set[str]:
-    if patch is None:
-        return set()
-    if (
-        prev is None
-        or new is None
-        or not isinstance(patch, dict)
-        or "$d" not in patch
-    ):
-        # The chain was re-rooted (call/return/exit): structural patch
-        # keys compare unrelated frames, so diff the flattened maps.
-        return _map_diff(_flatten_frame_vars(prev), _flatten_frame_vars(new))
-    edit = patch["$d"]
-    sub = edit.get("sub", {})
-    if "name" in sub or "depth" in sub or edit.get("set") or edit.get("del"):
-        return _map_diff(_flatten_frame_vars(prev), _flatten_frame_vars(new))
-    changed: Set[str] = set()
-    variables = sub.get("variables")
-    if variables is not None:
-        names = _dict_patch_keys(variables)
-        if names is None:
-            return _map_diff(
-                _flatten_frame_vars(prev), _flatten_frame_vars(new)
-            )
-        frame_name = new.get("name") or "?"
-        changed.update(f"{frame_name}:{name}" for name in names)
-    parent = sub.get("parent")
-    if parent is not None:
-        changed |= _frame_changes(
-            prev.get("parent"), new.get("parent"), parent
-        )
-    return changed
+def _reaches(
+    heap: Dict[str, Any], root: str, reaching: Set[str], clear: Set[str]
+) -> bool:
+    """Whether heap key ``root`` leads to a key in ``reaching`` (modified
+    entries, and keys already found to lead to one). A search that fails
+    adds every key it saw to ``clear``: none of them leads to one either."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        key = stack.pop()
+        if key in reaching:
+            reaching.add(root)
+            return True
+        kind, content = heap[key]["abstract_type"], heap[key]["content"]
+        if kind == "list":
+            items = content
+        elif kind == "struct":
+            items = content.values()
+        elif kind == "dict":
+            items = [position for pair in content for position in pair]
+        elif kind == "ref":
+            items = (content,)
+        else:
+            continue  # a scalar holds no key
+        for item in items:
+            child = _key_of(item)
+            if child is not None and child not in seen and child not in clear:
+                seen.add(child)
+                stack.append(child)
+    clear.update(seen)
+    return False
 
 
 def changed_variable_ids(
@@ -177,44 +161,46 @@ def changed_variable_ids(
     """
     if prev_tree is None:
         return set(_flatten_vars(tree))
-    if patch is None:
+    sub = patch["$d"].get("sub", {}) if patch is not None else {}
+    if not ("frame" in sub or "globals" in sub or "heap" in sub):
         return set()
-    if not isinstance(patch, dict) or "$d" not in patch:
-        return _map_diff(_flatten_vars(prev_tree), _flatten_vars(tree))
-    sub = patch["$d"].get("sub", {})
-    changed: Set[str] = set()
-    if "globals" in sub:
-        names = _dict_patch_keys(sub["globals"])
-        if names is None:
-            changed |= _map_diff(
-                prev_tree.get("globals") or {}, tree.get("globals") or {}
-            )
-        else:
-            changed |= names
-    if "frame" in sub:
-        changed |= _frame_changes(
-            prev_tree.get("frame"), tree.get("frame"), sub["frame"]
-        )
+    old, new = _flatten_vars(prev_tree), _flatten_vars(tree)
+    changed = {name for name in old if name not in new}
+    changed.update(
+        name for name, entry in new.items()
+        if name not in old or old[name] != entry
+    )
+    heap_patch = sub.get("heap")
+    reaching = set(heap_patch["$d"].get("sub", ())) if heap_patch else set()
+    if reaching:
+        clear: Set[str] = set()
+        for name, entry in new.items():
+            key = _key_of(entry)
+            if (
+                key is not None and key not in clear and name not in changed
+                and _reaches(tree["heap"], key, reaching, clear)
+            ):
+                changed.add(name)
     return changed
 
 
-def _render_value_tree(data: Any) -> Optional[str]:
-    """Human rendering of a serialized value tree, references chased."""
-    if data is None:
+def _render_position(decoder: HeapDecoder, position: Any) -> Optional[str]:
+    """Human rendering of a value position of a tree, references chased."""
+    if position is None:
         return None
     try:
-        value = value_from_dict(data)
+        value = decoder.value(position)
     except (KeyError, TypeError, ValueError):
         return None
     return value.chase().render()
 
 
-def _render_reason_payload(payload: Any) -> Optional[str]:
+def _render_reason_payload(payload: Any, heap: Dict[str, Any]) -> Optional[str]:
     """Rendered form of a pause reason's return-value payload."""
     if payload is None:
         return None
     if isinstance(payload, dict) and "$value" in payload:
-        return _render_value_tree(payload["$value"])
+        return _render_position(HeapDecoder(heap), payload["$value"])
     return str(payload)
 
 
@@ -315,7 +301,7 @@ class TraceIndex:
             records.append(record)
         record["return"] = index
         record["returned"] = _render_reason_payload(
-            (tree.get("reason") or {}).get("return_value")
+            (tree.get("reason") or {}).get("return_value"), tree["heap"]
         )
         return ("return", func)
 
@@ -456,20 +442,26 @@ def _dumps(data: Any) -> str:
 
 
 class SegmentSpool:
-    """Disk half of the trace store: ``manifest.json`` + segment blobs.
+    """Disk half of the trace store: manifest, segment log, segment blobs.
 
     Layout of a ``.tracedir/``::
 
         manifest.json        {format, version, count, timeline: {...},
-                              segments: [{file, base, count}, ...],
                               index: {...} | null}
+        segments.jsonl       {"file": ..., "base": ..., "count": ...}
+                             (one line per spilled segment)
         segment-00000.json   {"key": <full tree>, "deltas": [patch, ...]}
         segment-00001.json   ...
+
+    Creation writes the manifest, each spill appends to the log, and
+    :meth:`finalize` rewrites the manifest once (metadata and index). A
+    store never finalized opens with the segments its log names.
 
     Each segment file is a keyframe-led segment exactly as the in-memory
     timeline stores it; files are read back through ``mmap`` and parsed
     lazily, with a small LRU of decoded segments, so opening a 10k-pause
-    recording costs one manifest read until a query touches history.
+    recording costs the manifest and log reads until a query touches
+    history.
     """
 
     _CACHE_SEGMENTS = 4
@@ -518,21 +510,37 @@ class SegmentSpool:
             raise TraceStoreError(
                 f"{manifest_path!r} is not a repro trace-store manifest"
             )
+        if manifest.get("version") != TRACEDIR_VERSION:
+            raise TraceStoreError(
+                f"trace store {self.path!r} has format version "
+                f"{manifest.get('version')!r}; this build reads version "
+                f"{TRACEDIR_VERSION}"
+            )
+        # Every complete log entry ends with a newline: the last piece is
+        # "" or a line torn by a recording that stopped mid-append.
+        log_path = os.path.join(self.path, SEGMENT_LOG_NAME)
+        try:
+            with open(log_path, "r", encoding="utf-8") as handle:
+                lines = handle.read().split("\n")[:-1]
+        except FileNotFoundError:
+            lines = []  # nothing spilled yet
+        except OSError as error:
+            raise TraceStoreError(f"cannot read {log_path!r}: {error}") from error
         try:
             self._segments = [
-                {
-                    "file": str(entry["file"]),
-                    "base": int(entry["base"]),
-                    "count": int(entry["count"]),
-                }
-                for entry in manifest.get("segments", [])
+                {"file": str(entry["file"]), "base": int(entry["base"]),
+                 "count": int(entry["count"])}
+                for entry in map(json.loads, lines)
             ]
             self._count = int(manifest.get("count", 0))
         except (KeyError, TypeError, ValueError) as error:
             raise TraceStoreError(
-                f"corrupt trace-store manifest {manifest_path!r}: {error}"
+                f"corrupt trace store {self.path!r}: {error}"
             ) from error
         self._bases = [entry["base"] for entry in self._segments]
+        if self._segments:
+            last = self._segments[-1]
+            self._count = max(self._count, last["base"] + last["count"])
         self._meta = dict(manifest.get("timeline") or {})
         index_data = manifest.get("index")
         self._index_data = index_data if isinstance(index_data, dict) else None
@@ -543,7 +551,6 @@ class SegmentSpool:
             "version": TRACEDIR_VERSION,
             "count": self._count,
             "timeline": self._meta,
-            "segments": self._segments,
             "index": self._index_data,
         }
         path = self._manifest_path()
@@ -569,17 +576,20 @@ class SegmentSpool:
                 '{"key":' + _dumps(segment["key"]) + ',"deltas":['
                 + ",".join(map(_dumps, segment["deltas"])) + "]}"
             )
-        self._segments.append(
-            {"file": filename, "base": base, "count": count}
-        )
+        entry = {"file": filename, "base": base, "count": count}
+        with open(
+            os.path.join(self.path, SEGMENT_LOG_NAME), "a", encoding="utf-8"
+        ) as log:
+            log.write(_dumps(entry) + "\n")
+        self._segments.append(entry)
         self._bases.append(base)
         self._count = max(self._count, base + count)
-        self._write_manifest()
 
     def finalize(
         self, timeline: Timeline, index: Optional[TraceIndex]
     ) -> None:
-        """Flush the timeline's in-memory tail and seal the manifest.
+        """Flush the timeline's in-memory tail and seal the manifest (its
+        one rewrite after creation).
 
         After this, :meth:`open` / :meth:`TimelineView.open` see the full
         recording (spilled segments + tail) plus the serialized index.
@@ -984,14 +994,11 @@ class TimelineView:
             return index
         if index is None:
             index = TraceIndex()
+        # The oldest retained snapshot is observed as a first snapshot.
         previous: Optional[Dict[str, Any]] = None
         start = max(self.first_index, index.observed)
         if start > self.first_index:
             previous = self.timeline._tree_at(start - 1)
-        elif start > 0:
-            # The window was ring-evicted: treat the oldest retained
-            # snapshot as the first observation.
-            previous = None
         for position in range(start, len(self.timeline)):
             tree = self.timeline._tree_at(position)
             patch = diff_tree(previous, tree) if previous is not None else None
@@ -1104,15 +1111,16 @@ class TimelineView:
         new_tree = self.timeline._tree_at(end)
         old_vars = _flatten_vars(old_tree)
         new_vars = _flatten_vars(new_tree)
+        old_decoder = HeapDecoder(old_tree["heap"])
+        new_decoder = HeapDecoder(new_tree["heap"])
+        changed = changed_variable_ids(
+            old_tree, new_tree, diff_tree(old_tree, new_tree)
+        )
         variables: Dict[str, Any] = {}
-        for name in sorted(_map_diff(old_vars, new_vars)):
+        for name in sorted(changed):
             variables[name] = {
-                "old": _render_value_tree(
-                    (old_vars.get(name) or None)
-                ),
-                "new": _render_value_tree(
-                    (new_vars.get(name) or None)
-                ),
+                "old": _render_position(old_decoder, old_vars.get(name)),
+                "new": _render_position(new_decoder, new_vars.get(name)),
             }
         return {
             "from": start,

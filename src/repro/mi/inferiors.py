@@ -18,8 +18,6 @@ from repro.core.state import (
     Location,
     Value,
     Variable,
-    frame_to_dict,
-    variable_to_dict,
 )
 from repro.minic.events import Event
 from repro.minic.interpreter import Interpreter

@@ -50,7 +50,7 @@ from repro.core.state import (
     frame_from_dict,
     value_from_dict,
     value_to_dict,
-    variable_from_dict,
+    variables_from_dict,
 )
 from repro.core.supervision import Deadline
 from repro.core.tracker import (
@@ -244,7 +244,8 @@ def encode_stop(reason: PauseReason, **fields: Any) -> Dict[str, Any]:
 
     The reason's own fields become MI fields: ``line``, ``func``, the
     ``thread``/``thread-name`` pair, the watch triple ``var``/``old``/
-    ``new``, ``retval`` (a model :class:`Value` crosses as its dict form)
+    ``new``, ``retval`` (a model :class:`Value` crosses as its
+    :func:`~repro.core.state.value_to_dict` tree)
     and the ``deadlock`` graph. ``fields`` adds what only the server's
     substrate knows (``exitcode``, ``depth``, ``bkptno``, ``pc`` ...).
     """
@@ -301,7 +302,7 @@ def decode_stop(payload: Dict[str, Any]) -> PauseReason:
         reason.new_value = payload.get("new")
     elif kind is PauseReasonType.RETURN:
         value = payload.get("retval")
-        if isinstance(value, dict) and "abstract_type" in value:
+        if isinstance(value, dict) and "heap" in value:
             value = value_from_dict(value)
         reason.return_value = value
     elif kind is PauseReasonType.DEADLOCK_SUSPECTED:
@@ -487,17 +488,13 @@ def limit_options(limits: Any) -> Dict[str, int]:
 
 
 #: The command table, inspection: tracker method -> the MI command that
-#: answers it and the decoder of its ``^done`` payload.
-INSPECTIONS: Dict[str, Tuple[str, Callable[[Any], Any]]] = {
+#: answers it and the decoder of its ``^done`` payload, which takes the
+#: payload and the heap-key table the replies of one pause share.
+INSPECTIONS: Dict[str, Tuple[str, Callable[[Any, Any], Any]]] = {
     "get_position": (
         "-inferior-position",
-        lambda payload: (payload["file"], payload["line"]),
+        lambda payload, table=None: (payload["file"], payload["line"]),
     ),
     "get_current_frame": ("-stack-list-frames", frame_from_dict),
-    "get_global_variables": (
-        "-data-list-globals",
-        lambda payload: {
-            name: variable_from_dict(data) for name, data in payload.items()
-        },
-    ),
+    "get_global_variables": ("-data-list-globals", variables_from_dict),
 }

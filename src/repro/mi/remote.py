@@ -24,7 +24,7 @@ from repro.core.errors import (
     TrackerError,
 )
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import Frame, Variable
+from repro.core.state import Frame, Value, Variable
 from repro.core.supervision import (
     BACKEND_RESTARTED,
     BACKEND_UNAVAILABLE,
@@ -75,6 +75,9 @@ class MIRemoteTracker(Tracker):
         self._remote_enabled = False
         self._timeline_cache: Optional[Timeline] = None
         self._timeline_dirty = False
+        #: heap key -> Value for the inspection replies of this pause, so
+        #: the frames and the globals replies share their heap values
+        self._heap_table: Dict[str, Value] = {}
 
     # ------------------------------------------------------------------
     # Substrate hooks
@@ -300,6 +303,7 @@ class MIRemoteTracker(Tracker):
 
     def _ingest(self, payload: Dict[str, Any]) -> None:
         self._timeline_dirty = True
+        self._heap_table = {}
         line = payload.get("line")
         if line is not None:
             self.last_lineno = self.next_lineno
@@ -322,7 +326,7 @@ class MIRemoteTracker(Tracker):
 
     def _inspect(self, method: str) -> Any:
         command, decode = protocol.INSPECTIONS[method]
-        return decode(self._execute(command))
+        return decode(self._execute(command), self._heap_table)
 
     def _get_current_frame(self) -> Frame:
         return self._inspect("get_current_frame")

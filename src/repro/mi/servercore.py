@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import ProgramLoadError, ProtocolError, TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import frame_to_dict, variable_to_dict
+from repro.core.state import frame_to_dict, variables_to_dict
 from repro.mi import protocol
 
 
@@ -315,11 +315,11 @@ class ServerCore:
         ]
 
     def _cmd_data_list_globals(self, command) -> List[str]:
-        payload = {
-            name: variable_to_dict(variable)
-            for name, variable in self.tracker.get_global_variables().items()
-        }
-        return [protocol.format_done(payload)]
+        return [
+            protocol.format_done(
+                variables_to_dict(self.tracker.get_global_variables())
+            )
+        ]
 
     def _cmd_inferior_position(self, command) -> List[str]:
         filename, line = self.tracker.get_position()

@@ -23,7 +23,14 @@ import types
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.core.state import AbstractType, Frame, Location, Value, Variable
+from repro.core.state import (
+    AbstractType,
+    Frame,
+    Location,
+    Value,
+    Variable,
+    _HashableValueKey,
+)
 
 #: Global names never shown to tools (interpreter plumbing, not user state).
 HIDDEN_GLOBALS = frozenset(
@@ -247,7 +254,7 @@ class Snapshotter:
             if len(obj) > cap:
                 value.truncated = True
         for key, item in items:
-            key_value = _Keyed.wrap(self.snapshot(key, depth + 1))
+            key_value = _HashableValueKey.wrap(self.snapshot(key, depth + 1))
             content[key_value] = self.snapshot(item, depth + 1)
         value.content = content
         return value
@@ -281,32 +288,6 @@ class Snapshotter:
             fields["<repr>"] = self._summary(obj)
         value.content = fields
         return value
-
-
-class _Keyed(Value):
-    """Structurally hashable Value for use as a DICT content key."""
-
-    @classmethod
-    def wrap(cls, value: Value) -> "_Keyed":
-        wrapped = cls.__new__(cls)
-        wrapped.abstract_type = value.abstract_type
-        wrapped.content = value.content
-        wrapped.location = value.location
-        wrapped.address = value.address
-        wrapped.language_type = value.language_type
-        wrapped.truncated = value.truncated
-        return wrapped
-
-    def __hash__(self) -> int:
-        return hash((self.abstract_type, self.render()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Value):
-            return NotImplemented
-        return (
-            self.abstract_type is other.abstract_type
-            and self.render() == other.render()
-        )
 
 
 def _is_function_like(obj: Any) -> bool:

@@ -11,9 +11,9 @@ in for the paper's preliminary RR-based tracker.
 The heavy lifting lives in :class:`repro.core.replay.ReplayTracker`: the
 PT trace is converted into a delta-compressed timeline by the codec in
 :mod:`repro.pytutor.timeline_codec`, and this subclass only pins the
-PT-specific surfaces — inspection decoded straight from the recorded
-steps (preserving heap identity sharing that a snapshot round-trip would
-lose) and watch rendering over the raw PT encoding.
+PT-specific surface — watch rendering over the raw PT encoding. The
+replayed snapshots keep heap identity (one heap table per snapshot), so
+inspection is the replay tracker's.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from typing import List, Optional
 from repro.core.errors import ProgramLoadError
 from repro.core.replay import ReplayTracker
 from repro.core.timeline import StateSnapshot
-from repro.pytutor.timeline_codec import (
-    snapshot_from_pt_step,
-    timeline_from_pt_trace,
-)
+from repro.pytutor.timeline_codec import timeline_from_pt_trace
 from repro.pytutor.trace import PTStep, PTTrace
 
 
@@ -80,13 +77,8 @@ class PTTracker(ReplayTracker):
         return None
 
     # ------------------------------------------------------------------
-    # Inspection decoded directly from the recorded steps
+    # Inspection served from the recorded trace
     # ------------------------------------------------------------------
-
-    def _capture(self) -> StateSnapshot:
-        snapshot = snapshot_from_pt_step(self._current_step())
-        snapshot.filename = self._program or "<trace>"
-        return snapshot
 
     def get_source_lines(self) -> List[str]:
         """The traced program's source, embedded in the trace itself."""

@@ -43,7 +43,8 @@ def snapshot_from_pt_step(step: PTStep) -> StateSnapshot:
     return StateSnapshot(
         frame=frame,
         globals=step_globals(step, decoder),
-        filename="<trace>",
+        # No file of its own: a replay reports the trace it loaded.
+        filename="",
         line=step.line,
         depth=len(step.stack_to_render),
         stdout=step.stdout,

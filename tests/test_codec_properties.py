@@ -1,5 +1,5 @@
-"""Properties of the timeline codec: the shared-subtree snapshot encoder
-and the strict structural diff.
+"""Properties of the timeline codec: the heap-table snapshot codec and
+the strict structural diff.
 
 Every generated case is drawn from one integer seed through
 ``random.Random``, and every assertion message names that seed, so a
@@ -17,82 +17,11 @@ from repro.core.state import (
     Location,
     Value,
     Variable,
+    value_to_python,
 )
 from repro.core.timeline import StateSnapshot, apply_patch, diff_tree, trees_equal
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-# ---------------------------------------------------------------------------
-# The reference encoder: one fresh encode per path, nothing shared
-# ---------------------------------------------------------------------------
-
-
-def _fresh_value(value, active):
-    if id(value) in active:
-        return {
-            "abstract_type": "invalid",
-            "content": None,
-            "location": value.location.value,
-            "address": value.address,
-            "language_type": value.language_type,
-        }
-    active.add(id(value))
-    kind = value.abstract_type
-    if kind is AbstractType.REF:
-        content = _fresh_value(value.content, active)
-    elif kind is AbstractType.LIST:
-        content = [_fresh_value(v, active) for v in value.content]
-    elif kind is AbstractType.DICT:
-        content = [
-            [_fresh_value(k, active), _fresh_value(v, active)]
-            for k, v in value.content.items()
-        ]
-    elif kind is AbstractType.STRUCT:
-        content = {n: _fresh_value(v, active) for n, v in value.content.items()}
-    elif isinstance(value.content, bytes):
-        content = {"__bytes__": value.content.decode("latin-1")}
-    else:
-        content = value.content
-    active.discard(id(value))
-    encoded = {
-        "abstract_type": kind.value,
-        "content": content,
-        "location": value.location.value,
-        "address": value.address,
-        "language_type": value.language_type,
-    }
-    if value.truncated:
-        encoded["truncated"] = True
-    return encoded
-
-
-def _fresh_variables(variables):
-    return {
-        name: {
-            "name": var.name,
-            "value": _fresh_value(var.value, set()),
-            "scope": var.scope,
-        }
-        for name, var in variables.items()
-    }
-
-
-def _fresh_snapshot(snapshot):
-    frames = []
-    for frame in reversed(snapshot.frames()):
-        frames.append({
-            "name": frame.name,
-            "depth": frame.depth,
-            "variables": _fresh_variables(frame.variables),
-            "parent": frames[-1] if frames else None,
-            "line": frame.line,
-            "filename": frame.filename,
-        })
-    tree = snapshot.to_dict()
-    tree["frame"] = frames[-1] if frames else None
-    tree["globals"] = _fresh_variables(snapshot.globals)
-    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +55,8 @@ def _leaf(rng, address):
 def _value_graph(seed):
     """``(frame, globals)`` whose variables share heap values, with one
     two-node cycle (A -> B -> A) entered at A by one root and at B by
-    another."""
+    another, and sometimes an address-less container holding a cycle of
+    two REFs."""
     rng = random.Random(seed)
     heap = [_leaf(rng, 0x100 + n) for n in range(rng.randint(1, 4))]
     for n in range(rng.randint(1, 5)):
@@ -147,7 +77,12 @@ def _value_graph(seed):
         elif kind == "dict":
             value = Value(
                 AbstractType.DICT,
-                {_leaf(rng, None): v for v in picks},
+                # Distinct keys: decoded keys hash by their rendering.
+                {
+                    Value(AbstractType.PRIMITIVE, f"k{i}",
+                          language_type="str"): v
+                    for i, v in enumerate(picks)
+                },
                 Location.HEAP, address, "dict",
             )
         else:
@@ -162,6 +97,14 @@ def _value_graph(seed):
                       rng.choice(heap))
     node_b.content = (Value(AbstractType.REF, node_a, language_type="ref"),)
     cyclic = [node_a, node_b]
+    if rng.random() < 0.5:
+        # Address-less: a container with a tree-local key, and a cycle of
+        # REFs, which only the REF-to-REF rule writes as keys.
+        ref_a = Value(AbstractType.REF, node_a, language_type="ref")
+        ref_b = Value(AbstractType.REF, ref_a, language_type="ref")
+        ref_a.content = ref_b
+        cyclic.append(Value(AbstractType.LIST, (ref_a, rng.choice(heap)),
+                            Location.HEAP, None, "tuple"))
 
     def variables(scope, count):
         names = [f"v{n}" for n in range(count)]
@@ -186,39 +129,147 @@ def _value_graph(seed):
     return inner, globals_
 
 
+def _interned(value):
+    """Whether the codec writes ``value`` as a heap entry: a container, a
+    value with an address, or a REF to a REF."""
+    return (
+        value.abstract_type in (
+            AbstractType.LIST, AbstractType.DICT, AbstractType.STRUCT
+        )
+        or value.address is not None
+        or (
+            value.abstract_type is AbstractType.REF
+            and value.content.abstract_type is AbstractType.REF
+        )
+    )
+
+
+def _paired_walk(original, decoded, pairs, seed):
+    """Walk two value graphs in step; ``pairs`` maps the ``id`` of each
+    interned original Value to its decoded Value. A second visit of an
+    interned original must meet the same decoded object, so the decoded
+    graph has the original's sharing and cycles."""
+    stack = [(original, decoded)]
+    while stack:
+        mine, theirs = stack.pop()
+        where = f"seed={seed} at {mine.address!r}:{mine.language_type}"
+        assert (
+            mine.abstract_type, mine.location, mine.address,
+            mine.language_type, mine.truncated,
+        ) == (
+            theirs.abstract_type, theirs.location, theirs.address,
+            theirs.language_type, theirs.truncated,
+        ), where
+        if _interned(mine):
+            seen = pairs.get(id(mine))
+            if seen is not None:
+                assert seen is theirs, f"{where}: one Value decoded twice"
+                continue
+            pairs[id(mine)] = theirs
+        kind = mine.abstract_type
+        if kind is AbstractType.REF:
+            stack.append((mine.content, theirs.content))
+        elif kind is AbstractType.LIST:
+            assert len(mine.content) == len(theirs.content), where
+            stack.extend(zip(mine.content, theirs.content))
+        elif kind is AbstractType.STRUCT:
+            assert list(mine.content) == list(theirs.content), where
+            stack.extend(
+                (item, theirs.content[name])
+                for name, item in mine.content.items()
+            )
+        elif kind is AbstractType.DICT:
+            assert len(mine.content) == len(theirs.content), where
+            for (key, item), (their_key, their_item) in zip(
+                mine.content.items(), theirs.content.items()
+            ):
+                assert key.render() == their_key.render(), where
+                stack.append((item, their_item))
+        else:
+            assert type(mine.content) is type(theirs.content), where
+            assert mine.content == theirs.content, where
+
+
+def _variables_of(snapshot):
+    for frame in snapshot.frames():
+        for name, variable in frame.variables.items():
+            yield f"{frame.name}:{name}", variable
+    for name, variable in snapshot.globals.items():
+        yield name, variable
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=seeds)
-def test_memoized_encoder_equals_a_fresh_unshared_encode(seed):
+def test_decoding_keeps_the_sharing_graph(seed):
     frame, globals_ = _value_graph(seed)
     snapshot = StateSnapshot(frame=frame, globals=globals_, line=2)
-    tree = snapshot.to_dict()
-    fresh = _fresh_snapshot(snapshot)
-    assert trees_equal(tree, fresh), f"seed={seed}"
-    assert json.dumps(tree) == json.dumps(fresh), f"seed={seed}"
-    # The module frame holds the globals' own Variables: their encodings
-    # are shared, not re-encoded, unless they reach the cycle.
-    module_vars = tree["frame"]["parent"]["variables"]
-    for name, encoded in tree["globals"].items():
-        if "invalid" not in json.dumps(encoded):
-            assert module_vars[name]["value"] is encoded["value"], (
-                f"seed={seed} global {name} encoded twice"
-            )
+    tree = json.loads(json.dumps(snapshot.to_dict()))
+    decoded = StateSnapshot.from_dict(tree)
+    pairs = {}
+    originals = dict(_variables_of(snapshot))
+    for name, variable in _variables_of(decoded):
+        original = originals.pop(name).value
+        _paired_walk(original, variable.value, pairs, seed)
+        assert value_to_python(variable.value) == value_to_python(original), (
+            f"seed={seed} {name}"
+        )
+    assert not originals, f"seed={seed} variables lost: {sorted(originals)}"
+    # One decoded Value per interned Value: distinct originals stay apart.
+    assert len({id(value) for value in pairs.values()}) == len(pairs), (
+        f"seed={seed} two Values merged"
+    )
+    # Each interned Value is written once.
+    assert len(tree["heap"]) == len(pairs), f"seed={seed}"
+    assert trees_equal(decoded.to_dict(), tree), f"seed={seed}"
 
 
-def test_a_cycle_entered_at_two_points_is_cut_per_path():
-    frame, globals_ = _value_graph(0)
-    tree = StateSnapshot(frame=frame, globals=globals_).to_dict()
-    from_a = tree["globals"]["a"]["value"]["content"]
-    from_b = tree["frame"]["variables"]["b"]["value"]["content"]
-    assert from_a["address"] == 0x300 and from_b["address"] == 0x301
-    # A -> B -> (cut back to A); B -> A -> (cut back to B).
-    assert from_a["content"][0]["content"]["content"][0]["content"] == {
-        "abstract_type": "invalid", "content": None, "location": "heap",
-        "address": 0x300, "language_type": "list",
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds)
+def test_distinct_values_with_one_address_and_type_all_survive(seed):
+    """A full capture and truncated summaries of one object share an
+    address and a type; none of them replaces another."""
+    rng = random.Random(seed)
+    full = Value(AbstractType.LIST, (_leaf(rng, 0x101),), Location.HEAP,
+                 0x500, "list")
+    summaries = [
+        Value(AbstractType.PRIMITIVE, f"[{n}, ...]", Location.HEAP, 0x500,
+              "list", truncated=True)
+        for n in range(rng.randint(1, 3))
+    ]
+    values = [full] + summaries
+    rng.shuffle(values)
+    globals_ = {
+        f"v{n}": Variable(f"v{n}", Value(AbstractType.REF, value), "global")
+        for n, value in enumerate(values)
     }
-    assert from_b["content"][0]["content"]["content"][0]["content"][
-        "address"
-    ] == 0x301
+    tree = json.loads(json.dumps(StateSnapshot(frame=None,
+                                               globals=globals_).to_dict()))
+    # One entry per value, plus the full capture's element.
+    assert len(tree["heap"]) == len(values) + 1, f"seed={seed}"
+    decoded = StateSnapshot.from_dict(tree).globals
+    pairs = {}
+    for name, variable in globals_.items():
+        _paired_walk(variable.value, decoded[name].value, pairs, seed)
+    assert len({id(value) for value in pairs.values()}) == len(pairs)
+
+
+def test_a_cycle_decodes_as_a_cycle_and_renders_like_live():
+    frame, globals_ = _value_graph(0)
+    node = Value(AbstractType.STRUCT, {}, Location.HEAP, 0x400, "Node")
+    node.content = {"next": node, "x": _leaf(random.Random(0), 0x401)}
+    globals_["node"] = Variable("node", Value(AbstractType.REF, node))
+    snapshot = StateSnapshot(frame=frame, globals=globals_)
+    decoded = StateSnapshot.from_dict(json.loads(json.dumps(
+        snapshot.to_dict()
+    )))
+    node_a = decoded.globals["a"].value.content
+    node_b = decoded.frame.variables["b"].value.content
+    assert node_a.content[0].content is node_b
+    assert node_b.content[0].content is node_a
+    decoded_node = decoded.globals["node"].value.content
+    assert decoded_node.content["next"] is decoded_node
+    assert decoded_node.render() == node.render()
+    assert decoded_node.render().startswith("{.next=<...>, .x=")
 
 
 # ---------------------------------------------------------------------------

@@ -283,16 +283,18 @@ class TestInspection:
         server.handle("-exec-continue")
         # step into the body so the local exists
         server.handle("-exec-step")
-        frame_data = records(server.handle("-stack-list-frames"))[0].payload
+        payload = records(server.handle("-stack-list-frames"))[0].payload
+        frame_data, heap = payload["frame"], payload["heap"]
         assert frame_data["name"] == "square"
         assert frame_data["parent"]["name"] == "main"
-        assert frame_data["variables"]["v"]["value"]["content"] == 1
+        assert heap[frame_data["variables"]["v"]["value"]]["content"] == 1
         assert frame_data["variables"]["v"]["scope"] == "argument"
 
     def test_globals(self, server):
         server.handle("-exec-run")
         payload = records(server.handle("-data-list-globals"))[0].payload
-        assert payload["total"]["value"]["content"] == 0
+        key = payload["variables"]["total"]["value"]
+        assert payload["heap"][key]["content"] == 0
 
     def test_inspection_before_run_is_error(self, server):
         assert records(server.handle("-stack-list-frames"))[0].kind == "error"
@@ -300,7 +302,8 @@ class TestInspection:
     def test_read_memory(self, server):
         server.handle("-exec-run")
         globals_payload = records(server.handle("-data-list-globals"))[0].payload
-        address = globals_payload["total"]["value"]["address"]
+        key = globals_payload["variables"]["total"]["value"]
+        address = globals_payload["heap"][key]["address"]
         record = records(
             server.handle(f"-data-read-memory {address:#x} 4")
         )[0]
@@ -389,6 +392,7 @@ class TestAssemblyInferior:
     def test_asm_frames_have_registers(self, asm_server):
         asm_server.handle("-exec-run")
         frame = records(asm_server.handle("-stack-list-frames"))[0].payload
+        frame = frame["frame"]
         assert frame["name"] == "main"
         assert "sp" in frame["variables"]
 

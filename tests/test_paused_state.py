@@ -149,9 +149,11 @@ def test_position_and_output_never_force_a_capture(backend, write_program):
         tracker.terminate()
 
 
-@pytest.mark.parametrize("backend", ["python", "python-mon"])
-def test_module_frame_and_globals_share_values(backend, write_program):
-    tracker = _live(backend, write_program("prog.py", PROGRAM))
+@pytest.mark.parametrize("backend", ["python", "python-mon", "replay"])
+def test_module_frame_and_globals_share_values(
+    backend, write_program, tmp_path
+):
+    tracker = _make(backend, write_program("prog.py", PROGRAM), tmp_path)
     tracker.break_before_line(APPEND_LINE)
     try:
         tracker.start()
@@ -182,18 +184,35 @@ value = peek(data)
 """
 
 
-@pytest.mark.parametrize("backend", ["python", "python-mon", "pt"])
+@pytest.mark.parametrize(
+    "backend",
+    ["python", "python-mon", "python-subproc", "replay", "pt",
+     "python-rewound"],
+)
 def test_local_and_global_share_one_heap_value(
     backend, write_program, tmp_path
 ):
     """``peek``'s local ``items`` and the global ``data`` are one list, so
-    they reference one heap ``Value`` (the paper's Fig 6b heap model)."""
+    they reference one heap ``Value`` (the paper's Fig 6b heap model),
+    live, over MI, replayed and rewound."""
     path = write_program("alias.py", ALIASING_PROGRAM)
-    tracker = _make(backend, path, tmp_path)
+    rewound = backend == "python-rewound"
+    tracker = _make("python" if rewound else backend, path, tmp_path)
     tracker.break_before_line(5)
     try:
+        if rewound:
+            tracker.enable_recording()
         tracker.start()
         tracker.resume()
+        if rewound:
+            # Two steps on and two back: the paused state is decoded from
+            # the recording.
+            tracker.step()
+            tracker.step()
+            view = tracker.timeline_view()
+            view.backward_step()
+            view.backward_step()
+        assert tracker.get_position()[1] == 5
         local = tracker.get_current_frame().variables["items"].value
         global_ = tracker.get_global_variables()["data"].value
         assert local.content is global_.content

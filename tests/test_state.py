@@ -15,8 +15,8 @@ from repro.core.state import (
     frame_to_dict,
     value_from_dict,
     value_to_dict,
-    variable_from_dict,
-    variable_to_dict,
+    variables_from_dict,
+    variables_to_dict,
 )
 
 
@@ -150,8 +150,8 @@ class TestRender:
         assert Value(AbstractType.FUNCTION, "f").render() == "<function f>"
 
     def test_cyclic_graph_renders_finitely(self):
-        """Cyclic value graphs are legal (walk and value_to_dict cut the
-        back-edge); render must terminate on them too, not recurse until
+        """Cyclic value graphs are legal (walk cuts the back-edge, and the
+        codec writes it as a heap key); render must terminate on them too, not recurse until
         the interpreter dies. Cross-thread sampling can capture genuinely
         cyclic object graphs, which is how this used to blow up."""
         lst = Value(AbstractType.LIST, ())
@@ -227,7 +227,7 @@ class TestSerialization:
 
     def test_variable_round_trip(self):
         variable = Variable("x", prim(1), scope="argument")
-        decoded = variable_from_dict(variable_to_dict(variable))
+        decoded = variables_from_dict(variables_to_dict({"x": variable}))["x"]
         assert decoded.name == "x"
         assert decoded.scope == "argument"
 

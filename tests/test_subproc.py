@@ -128,8 +128,9 @@ class TestControlPoints:
         server.handle("-exec-continue")  # entry
         payload = last_stopped(server.handle("-exec-continue"))  # exit
         assert payload["reason"] == "function-exit"
-        assert payload["retval"]["content"] == 1
-        assert payload["retval"]["language_type"] == "int"
+        retval = payload["retval"]
+        assert retval["heap"][retval["value"]]["content"] == 1
+        assert retval["heap"][retval["value"]]["language_type"] == "int"
 
     def test_watchpoint(self, server):
         server.handle("-break-watch total")
@@ -174,9 +175,10 @@ class TestInspection:
         server.handle("-break-insert 9")
         server.handle("-exec-continue")
         globals_record = records(server.handle("-data-list-globals"))[0]
-        total = globals_record.payload["total"]["value"]
+        payload = globals_record.payload
+        total = payload["variables"]["total"]["value"]
         assert total["abstract_type"] == "ref"  # global -> heap int
-        assert total["content"]["content"] == 14
+        assert payload["heap"][total["content"]]["content"] == 14
 
     def test_list_functions(self, server):
         record = records(server.handle("-list-functions"))[0]

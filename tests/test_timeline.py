@@ -510,3 +510,65 @@ def test_delta_timeline_is_half_of_all_keyframes(recursion_program):
     keyframed.terminate()
 
     assert delta_bytes <= keyframe_bytes * 0.5
+
+
+# ---------------------------------------------------------------------------
+# One heap entry per shared value: one mutation, one sub-patch
+# ---------------------------------------------------------------------------
+
+ALIASED = """\
+data = [1, 2]
+
+
+def f(xs):
+    y = xs
+    y.append(3)
+    return len(y)
+
+
+n = f(data)
+"""
+
+
+def test_a_shared_list_is_patched_once(tmp_path):
+    """``data`` (global and module-frame variable), ``xs`` and ``y`` reach
+    one list: the delta across ``y.append(3)`` modifies that list's heap
+    entry once and no variable's own entry."""
+    path = tmp_path / "alias.py"
+    path.write_text(ALIASED)
+    tracker = PythonTracker()
+    tracker.load_program(str(path))
+    tracker.enable_recording()
+    patches = []
+    tracker.timeline.add_append_listener(
+        lambda index, prev, tree, patch: patches.append(patch)
+    )
+    tracker.break_before_line(6)
+    try:
+        tracker.start()
+        tracker.resume()
+        key = tracker.get_variable("y").value.content
+        key = f"{key.address}:list"
+        tracker.step()
+        assert tracker.get_position()[1] == 7
+        sub = patches[-1]["$d"]["sub"]
+        assert "globals" not in sub
+        assert "variables" not in json.dumps(sub["frame"])
+        heap_edit = sub["heap"]["$d"]
+        assert list(heap_edit["sub"]) == [key]
+        # The append is the only list edit in the whole patch.
+        assert json.dumps(patches[-1]).count('"$l"') == 1
+    finally:
+        tracker.terminate()
+
+
+def test_a_version_1_timeline_is_refused(recursion_program, tmp_path):
+    tracker = _recorded_tracker(recursion_program)
+    _run_to_exit(tracker)
+    data = tracker.timeline.to_dict()
+    tracker.terminate()
+    data["version"] = 1
+    path = tmp_path / "old.timeline.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ProgramLoadError, match="version 1.*version 2"):
+        load_timeline(str(path))

@@ -171,6 +171,35 @@ class TestChangeExtraction:
         changed = changed_variable_ids(old, new, diff_tree(old, new))
         assert changed == {"x"}
 
+    def test_a_nested_mutation_marks_every_variable_that_reaches_it(self):
+        from repro.core.timeline import diff_tree
+
+        def tree(inner_items):
+            inner = Value(AbstractType.LIST, tuple(
+                Value(AbstractType.PRIMITIVE, n, address=100 + n,
+                      language_type="int") for n in inner_items
+            ), address=2, language_type="list")
+            outer = Value(AbstractType.LIST, (inner,), address=1,
+                          language_type="list")
+            other = Value(AbstractType.LIST, (), address=3,
+                          language_type="list")
+
+            def ref(target):
+                return Value(AbstractType.REF, target, language_type="list")
+
+            return StateSnapshot(frame=None, globals={
+                name: Variable(name, ref(target), "global")
+                for name, target in (("outer", outer), ("alias", inner),
+                                     ("other", other))
+            }).to_dict()
+
+        old, new = tree([1]), tree([1, 2])
+        patch = diff_tree(old, new)
+        # One heap entry changed, however many names reach it.
+        assert list(patch["$d"]["sub"]) == ["heap"]
+        assert list(patch["$d"]["sub"]["heap"]["$d"]["sub"]) == ["2:list"]
+        assert changed_variable_ids(old, new, patch) == {"outer", "alias"}
+
 
 # ---------------------------------------------------------------------------
 # Spill parity: in-memory vs spilled-to-disk recordings answer alike
@@ -345,6 +374,49 @@ class TestCorruption:
         assert main(["timeline", "query", "--tracedir", tracedir, "x",
                      "changed"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_a_version_1_store_is_refused(self, program, tmp_path):
+        tracedir = self._sealed_tracedir(program, tmp_path)
+        path = os.path.join(tracedir, "manifest.json")
+        with open(path) as handle:
+            manifest = json.load(handle)
+        manifest["version"] = 1
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(TraceStoreError, match="version 1.*version 2"):
+            TimelineView.open(tracedir)
+
+
+def test_an_unterminated_store_opens_with_its_spilled_segments(
+    program, tmp_path
+):
+    """The manifest is written at creation and at the seal; in between,
+    each spill appends one line to the segment log, so a store whose
+    tracker was never terminated opens with the segments it spilled (and
+    a torn last line is ignored)."""
+    tracedir = str(tmp_path / "run.tracedir")
+    tracker = PythonTracker()
+    tracker.load_program(program)
+    tracker.enable_recording(
+        keyframe_interval=4, max_snapshots=5, tracedir=tracedir
+    )
+    tracker.start()
+    try:
+        for _ in range(30):
+            tracker.step()
+        spilled = tracker.timeline.spool.count
+        assert spilled >= 8
+        with open(os.path.join(tracedir, "segments.jsonl"), "a") as log:
+            log.write('{"file": "segment-99')
+        view = TimelineView.open(tracedir)
+        assert (view.first_index, len(view)) == (0, spilled)
+        assert [view.at(i) for i in range(spilled)] == [
+            tracker.timeline.snapshot(i) for i in range(spilled)
+        ]
+        live = tracker.timeline_view().history("x")
+        assert view.history("x") == [e for e in live if e.index < spilled]
+    finally:
+        tracker.terminate()
 
 
 # ---------------------------------------------------------------------------
