@@ -366,8 +366,6 @@ def _freeze(key: Any) -> Any:
     return key
 
 
-
-
 class _HashableValueKey(Value):
     """A :class:`Value` usable as a DICT content key: ``Value`` hashes by
     identity, so capture and the decoder key a DICT by wrapped copies that
@@ -400,9 +398,9 @@ class _HashableValueKey(Value):
 # without an address and Python variables' address-less REFs are inline,
 # except a REF to a REF, so a cycle of REFs goes through a key too. Address
 # alone is not a key: a mini-C array and its first element share one. A
-# key another Value holds gets "#<n>" appended, and an address-less
-# container gets "#<n>"; such keys are local to their tree, the others
-# name one object of one paused state.
+# key another Value holds gets "#<n>" appended (n counts per key), and an
+# address-less container gets "#<n>"; such keys are local to their tree,
+# the others name one object of one paused state.
 # ---------------------------------------------------------------------------
 
 #: Plain-string tags: an enum member hashes through a Python ``__hash__``.
@@ -419,7 +417,7 @@ class HeapEncoder:
     def __init__(self) -> None:
         self.heap: Dict[str, Dict[str, Any]] = {}
         self._keys: Dict[int, str] = {}  # id of an interned Value -> key
-        self._locals = 0
+        self._suffixes: Dict[str, int] = {}  # key -> last "#<n>" given
 
     def value(self, value: Value) -> Any:
         """The position of ``value``: its heap key, or its inline dict."""
@@ -471,8 +469,10 @@ class HeapEncoder:
         return encoded
 
     def _local_key(self, base: str) -> str:
-        self._locals += 1
-        return f"{base}#{self._locals}"
+        # Numbered per key, so the suffix of one object's second Value
+        # does not move when other objects' Values come or go.
+        n = self._suffixes[base] = self._suffixes.get(base, 0) + 1
+        return f"{base}#{n}"
 
     def _encode(self, value: Value) -> Dict[str, Any]:
         kind = value.abstract_type
@@ -521,16 +521,22 @@ class HeapDecoder:
     yields one :class:`Value`. Entries are built as shells and filled
     after, as capture builds them, so a cycle decodes as a cycle.
 
-    ``table`` (key -> Value) may be shared by the trees of one paused
-    state; keys local to a tree (with a "#") stay out of it.
+    ``table`` (key -> (entry, Value)) may be shared by the trees of one
+    paused state, each encoded on its own: a key decodes to the table's
+    Value only if its entry here is the table's (one key may name a
+    summary in one tree and the full capture in the other). A tree with a
+    "#" key neither reads nor extends it: that tree holds two Values under
+    one address and type, so what a plain key leads to may differ there.
     """
 
     def __init__(
-        self, heap: Dict[str, Any], table: Optional[Dict[str, Value]] = None
+        self,
+        heap: Dict[str, Any],
+        table: Optional[Dict[str, Tuple[Any, Value]]] = None,
     ) -> None:
         self._heap = heap
-        self._table: Dict[str, Value] = {} if table is None else table
-        self._local: Dict[str, Value] = {}
+        self._table = None if table is None or "#" in "".join(heap) else table
+        self._values: Dict[str, Value] = {}  # this tree's key -> Value
         self._unfilled: List[Tuple[Value, Any]] = []
 
     def value(self, position: Any) -> Value:
@@ -562,10 +568,18 @@ class HeapDecoder:
     def _resolve(self, position: Any) -> Value:
         if position.__class__ is not str:
             return self._build(position)
-        table = self._local if "#" in position else self._table
-        value = table.get(position)
+        value = self._values.get(position)
         if value is None:
-            value = table[position] = self._build(self._heap[position])
+            entry = self._heap[position]
+            table = self._table
+            shared = None if table is None else table.get(position)
+            if shared is not None and shared[0] == entry:
+                value = shared[1]
+            else:
+                value = self._build(entry)
+                if table is not None:
+                    table[position] = (entry, value)
+            self._values[position] = value
         return value
 
     def _build(self, data: Dict[str, Any]) -> Value:

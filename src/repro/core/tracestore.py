@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.errors import TraceStoreError, TrackerError
-from repro.core.state import AbstractType, HeapDecoder
+from repro.core.state import AbstractType, HeapDecoder, HeapEncoder
 from repro.core.timeline import (
     EVENT_CALL,
     EVENT_EXIT,
@@ -79,7 +79,10 @@ TRACEDIR_VERSION = 2
 # entry. A variable changed when that entry differs between the two trees,
 # or when it reaches (through heap keys) an entry the patch modifies. The
 # heap holds each shared value once, so one mutation is one modified entry
-# however many names reach it.
+# however many names reach it. A key with a "#" is numbered in encoding
+# order, so the same object may hold another key in the next tree (a new
+# frame meets its summary first): when either tree has one, each name the
+# entries flag is compared by value before it counts.
 
 
 def _flatten_vars(tree: Optional[Dict[str, Any]]) -> Dict[str, Any]:
@@ -147,6 +150,14 @@ def _reaches(
     return False
 
 
+def _canonical(decoder: HeapDecoder, position: Any) -> Tuple[Any, Any]:
+    """A position decoded and encoded again on its own: equal for equal
+    values (addresses, sharing and cycles included), whatever keys their
+    trees gave them."""
+    encoder = HeapEncoder()
+    return encoder.value(decoder.value(position)), encoder.heap
+
+
 def changed_variable_ids(
     prev_tree: Optional[Dict[str, Any]],
     tree: Dict[str, Any],
@@ -181,6 +192,14 @@ def changed_variable_ids(
                 and _reaches(tree["heap"], key, reaching, clear)
             ):
                 changed.add(name)
+    old_heap, new_heap = prev_tree["heap"], tree["heap"]
+    if changed and ("#" in "".join(old_heap) or "#" in "".join(new_heap)):
+        before, after = HeapDecoder(old_heap), HeapDecoder(new_heap)
+        changed = {
+            name for name in changed
+            if name not in old or name not in new
+            or _canonical(before, old[name]) != _canonical(after, new[name])
+        }
     return changed
 
 
@@ -480,6 +499,11 @@ class SegmentSpool:
         if create:
             os.makedirs(path, exist_ok=True)
             self._write_manifest()
+            # A new recording starts a new log, in a reused directory too.
+            try:
+                os.remove(os.path.join(path, SEGMENT_LOG_NAME))
+            except FileNotFoundError:
+                pass
         else:
             self._read_manifest()
 

@@ -75,9 +75,9 @@ class MIRemoteTracker(Tracker):
         self._remote_enabled = False
         self._timeline_cache: Optional[Timeline] = None
         self._timeline_dirty = False
-        #: heap key -> Value for the inspection replies of this pause, so
-        #: the frames and the globals replies share their heap values
-        self._heap_table: Dict[str, Value] = {}
+        #: heap key -> (entry, Value) for the inspection replies of this
+        #: pause, so the frames and the globals replies share heap values
+        self._heap_table: Dict[str, Tuple[Any, Value]] = {}
 
     # ------------------------------------------------------------------
     # Substrate hooks

@@ -21,7 +21,7 @@ import itertools
 import reprlib
 import types
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.state import (
     AbstractType,
@@ -130,6 +130,8 @@ class Snapshotter:
         self.max_depth = max_depth
         self.limits = limits if limits is not None else DEFAULT_CAPTURE_LIMITS
         self._memo: Dict[int, Value] = {}
+        #: (id, truncated) -> summary: one summary Value per object too
+        self._summaries: Dict[Tuple[int, bool], Value] = {}
         self._captured = 0
 
     def snapshot(self, obj: Any, depth: int = 0) -> Value:
@@ -146,13 +148,7 @@ class Snapshotter:
         if self.max_depth is not None and depth > self.max_depth:
             return self._summary(obj)
         if obj is None:
-            return Value(
-                abstract_type=AbstractType.NONE,
-                content=None,
-                location=Location.HEAP,
-                address=address,
-                language_type="NoneType",
-            )
+            return self._scalar(obj, AbstractType.NONE, None)
         if isinstance(obj, bool):
             # bool before int: isinstance(True, int) holds.
             return self._primitive(obj)
@@ -170,26 +166,33 @@ class Snapshotter:
         if isinstance(obj, dict):
             return self._mapping(obj, depth)
         if _is_function_like(obj):
-            return Value(
-                abstract_type=AbstractType.FUNCTION,
-                content=_function_name(obj),
-                location=Location.HEAP,
-                address=address,
-                language_type=type(obj).__name__,
+            return self._scalar(
+                obj, AbstractType.FUNCTION, _function_name(obj)
             )
         return self._instance(obj, depth)
 
     # -- builders --------------------------------------------------------
 
-    def _summary(self, obj: Any, truncated: bool = False) -> Value:
-        return Value(
-            abstract_type=AbstractType.PRIMITIVE,
-            content=_summarize(obj),
-            location=Location.HEAP,
-            address=id(obj),
-            language_type=type(obj).__name__,
-            truncated=truncated,
+    def _scalar(
+        self, obj: Any, kind: AbstractType, content: Any,
+        truncated: bool = False,
+    ) -> Value:
+        """One Value per object per capture, like every container."""
+        value = self._memo[id(obj)] = Value(
+            kind, content, Location.HEAP, id(obj), type(obj).__name__,
+            truncated,
         )
+        return value
+
+    def _summary(self, obj: Any, truncated: bool = False) -> Value:
+        # Not in _memo: a shallower path to ``obj`` still captures it whole.
+        key = (id(obj), truncated)
+        if key not in self._summaries:
+            self._summaries[key] = Value(
+                AbstractType.PRIMITIVE, _summarize(obj), Location.HEAP,
+                id(obj), type(obj).__name__, truncated,
+            )
+        return self._summaries[key]
 
     def _primitive(self, obj: Any) -> Value:
         content = obj
@@ -205,16 +208,7 @@ class Snapshotter:
         if isinstance(obj, complex):
             # complex is not JSON-serializable; keep its repr, still PRIMITIVE.
             content = repr(obj)
-        value = Value(
-            abstract_type=AbstractType.PRIMITIVE,
-            content=content,
-            location=Location.HEAP,
-            address=id(obj),
-            language_type=type(obj).__name__,
-            truncated=truncated,
-        )
-        self._memo[id(obj)] = value
-        return value
+        return self._scalar(obj, AbstractType.PRIMITIVE, content, truncated)
 
     def _sequence(self, obj: Any, depth: int, ordered: Any = None) -> Value:
         value = Value(
@@ -285,7 +279,11 @@ class Snapshotter:
                 if hasattr(obj, name):
                     fields[name] = self.snapshot(getattr(obj, name), depth + 1)
         else:
-            fields["<repr>"] = self._summary(obj)
+            # No address: the object's own entry is the struct.
+            fields["<repr>"] = Value(
+                AbstractType.PRIMITIVE, _summarize(obj), Location.HEAP, None,
+                type(obj).__name__,
+            )
         value.content = fields
         return value
 

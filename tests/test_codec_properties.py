@@ -17,7 +17,13 @@ from repro.core.state import (
     Location,
     Value,
     Variable,
+    frame_from_dict,
+    frame_to_dict,
+    value_from_dict,
+    value_to_dict,
     value_to_python,
+    variables_from_dict,
+    variables_to_dict,
 )
 from repro.core.timeline import StateSnapshot, apply_patch, diff_tree, trees_equal
 
@@ -251,6 +257,69 @@ def test_distinct_values_with_one_address_and_type_all_survive(seed):
     for name, variable in globals_.items():
         _paired_walk(variable.value, decoded[name].value, pairs, seed)
     assert len({id(value) for value in pairs.values()}) == len(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds)
+def test_two_trees_decoded_with_one_table_keep_their_values(seed):
+    """The frames and the globals replies of one pause are encoded apart
+    and decoded with one table. A summary that takes node A's key in the
+    frames reply (sometimes added) never stands in for the full node A
+    that holds that key in the globals reply; with no "#" key in either
+    reply, a Value both reach decodes to one Value."""
+    frame, globals_ = _value_graph(seed)
+    if random.Random(seed).random() < 0.5:
+        summary = Value(AbstractType.PRIMITIVE, "[...]", Location.HEAP,
+                        0x300, "list", truncated=True)
+        frame.variables = {
+            "s": Variable("s", Value(AbstractType.REF, summary)),
+            **frame.variables,
+        }
+    frames_reply = json.loads(json.dumps(frame_to_dict(frame)))
+    globals_reply = json.loads(json.dumps(variables_to_dict(globals_)))
+    table = {}
+    frames = frame_from_dict(frames_reply, table)
+    decoded_globals = variables_from_dict(globals_reply, table)
+    shared = not any(
+        "#" in key for reply in (frames_reply, globals_reply)
+        for key in reply["heap"]
+    )
+    pairs = {}
+    for original, decoded in (
+        (frame.stack(), frames.stack()),
+        ([globals_], [decoded_globals]),
+    ):
+        if not shared:
+            pairs = {}
+        for mine, theirs in zip(original, decoded):
+            variables = getattr(mine, "variables", mine)
+            their_variables = getattr(theirs, "variables", theirs)
+            for name, variable in variables.items():
+                value = their_variables[name].value
+                _paired_walk(variable.value, value, pairs, seed)
+                assert value_to_python(value) == value_to_python(
+                    variable.value
+                ), f"seed={seed} {name}"
+
+
+def test_a_shared_key_decodes_to_the_table_value_only_if_entries_agree():
+    """Two trees decoded with one table, each holding one Value under the
+    key "768:list": a summary in one, the full list in the other."""
+    leaf = _leaf(random.Random(0), 0x301)
+    full = Value(AbstractType.LIST, (leaf,), Location.HEAP, 0x300, "list")
+    summary = Value(AbstractType.PRIMITIVE, "[...]", Location.HEAP, 0x300,
+                    "list", truncated=True)
+
+    def round_trip(value, table):
+        return value_from_dict(json.loads(json.dumps(value_to_dict(value))),
+                               table)
+
+    table = {}
+    assert round_trip(summary, table).content == "[...]"
+    decoded = round_trip(full, table)
+    assert decoded.abstract_type is AbstractType.LIST
+    assert decoded.content[0].content == leaf.content
+    assert round_trip(full, table) is decoded  # agreeing entries: shared
 
 
 def test_a_cycle_decodes_as_a_cycle_and_renders_like_live():

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import BackendUnavailableError
 from repro.core.factory import init_tracker
 from repro.core.replay import ReplayTracker
-from repro.core.state import value_to_dict
+from repro.core.state import AbstractType, value_to_dict
 from repro.pytracker.introspect import build_frame_chain, build_globals
 from repro.pytracker.tracker import PythonTracker
 
@@ -216,6 +216,63 @@ def test_local_and_global_share_one_heap_value(
         local = tracker.get_current_frame().variables["items"].value
         global_ = tracker.get_global_variables()["data"].value
         assert local.content is global_.content
+    finally:
+        tracker.terminate()
+
+
+#: ``chain`` nests ``leaf`` past the default capture depth (100), so the
+#: capture holds ``leaf`` twice: whole, and as ``chain``'s truncated
+#: summary, which ``peek``'s frame meets first.
+DEEP_PROGRAM = """\
+leaf = [7]
+nest = leaf
+for _ in range(101):
+    nest = [nest]
+
+
+def peek(chain, items):
+    return items
+
+
+value = peek(nest, leaf)
+"""
+
+
+@pytest.mark.parametrize(
+    "backend", ["python", "python-subproc", "replay", "python-rewound"]
+)
+def test_a_depth_summary_never_stands_in_for_a_global(
+    backend, write_program, tmp_path
+):
+    """The summary and the whole list share address and type. Over MI
+    the frames and the globals replies are encoded apart, so each may give
+    that key to a different one; the global still decodes whole."""
+    path = write_program("deep.py", DEEP_PROGRAM)
+    rewound = backend == "python-rewound"
+    tracker = _make("python" if rewound else backend, path, tmp_path)
+    tracker.break_before_line(8)
+    try:
+        if rewound:
+            tracker.enable_recording()
+        tracker.start()
+        tracker.resume()
+        if rewound:
+            tracker.step()
+            tracker.timeline_view().backward_step()
+        assert tracker.get_position()[1] == 8
+        frame = tracker.get_current_frame()
+        global_ = tracker.get_global_variables()["leaf"].value.content
+        items = frame.variables["items"].value.content
+        end = frame.variables["chain"].value.content
+        for _ in range(101):
+            end = end.content[0]
+        assert end.truncated and end.abstract_type is AbstractType.PRIMITIVE
+        assert end.address == global_.address
+        for whole in (global_, items):
+            assert whole.abstract_type is AbstractType.LIST
+            assert (whole.render(), whole.truncated) == ("[7]", False)
+        if backend != "python-subproc":  # one tree: one Value per object
+            assert items is global_
     finally:
         tracker.terminate()
 

@@ -200,6 +200,69 @@ class TestChangeExtraction:
         assert list(patch["$d"]["sub"]["heap"]["$d"]["sub"]) == ["2:list"]
         assert changed_variable_ids(old, new, patch) == {"outer", "alias"}
 
+    def test_a_none_argument_does_not_change_a_none_global(self, tmp_path):
+        """Every ``None`` of one pause is one ``Value``, so a frame that
+        holds ``None`` leaves the global ``None``'s entry alone."""
+        path = tmp_path / "none.py"
+        path.write_text(
+            "result = None\n"
+            "def f(node):\n"
+            "    return node\n"
+            "f(None)\n"
+            "done = 1\n"
+        )
+        tracker = _record(str(path))
+        try:
+            trees = [
+                tracker.timeline._tree_at(i)
+                for i in range(len(tracker.timeline))
+            ]
+            keys = {
+                tree["globals"]["result"]["value"]["content"]
+                for tree in trees if "result" in tree["globals"]
+            }
+            assert len(keys) == 1 and "#" not in keys.pop()
+            events = tracker.timeline_view().history("result")
+            assert [event.value for event in events] == ["None"]
+        finally:
+            tracker.terminate()
+
+    def test_a_renumbered_key_is_not_a_change(self, tmp_path):
+        """With ``snapshot_depth=1`` the global ``box`` is met first as
+        ``nest``'s depth summary, so it holds a "#" key at module level;
+        inside ``f`` its full capture is met first and holds the plain
+        key. Its value never changes, so it has one history event."""
+        path = tmp_path / "depth.py"
+        path.write_text(
+            "nest = [[[1]]]\n"
+            "box = nest[0][0]\n"
+            "def f(n):\n"
+            "    return n\n"
+            "f(box)\n"
+            "done = 1\n"
+        )
+        tracker = PythonTracker(snapshot_depth=1)
+        tracker.load_program(str(path))
+        tracker.enable_recording()
+        tracker.start()
+        try:
+            while tracker.get_exit_code() is None:
+                tracker.step()
+            trees = [
+                tracker.timeline._tree_at(i)
+                for i in range(len(tracker.timeline))
+            ]
+            keys = [
+                tree["globals"]["box"]["value"]["content"]
+                for tree in trees if "box" in tree["globals"]
+            ]
+            assert any("#" in key for key in keys)
+            assert any("#" not in key for key in keys)
+            events = tracker.timeline_view().history("box")
+            assert [event.value for event in events] == ["[1]"]
+        finally:
+            tracker.terminate()
+
 
 # ---------------------------------------------------------------------------
 # Spill parity: in-memory vs spilled-to-disk recordings answer alike
@@ -385,6 +448,28 @@ class TestCorruption:
             json.dump(manifest, handle)
         with pytest.raises(TraceStoreError, match="version 1.*version 2"):
             TimelineView.open(tracedir)
+
+
+def test_recording_again_into_a_store_replaces_it(program, tmp_path):
+    """Creating a store starts a new segment log: a second recording into
+    the same directory answers like that recording alone."""
+    tracedir = str(tmp_path / "run.tracedir")
+    _record(
+        program, keyframe_interval=4, max_snapshots=5, tracedir=tracedir
+    ).terminate()
+    short = tmp_path / "short.py"
+    short.write_text(PROGRAM.replace("range(5)", "range(2)"))
+    tracker = _record(
+        str(short), keyframe_interval=3, max_snapshots=4, tracedir=tracedir
+    )
+    live_len = len(tracker.timeline)
+    live = [tracker.timeline.snapshot(i) for i in range(live_len)]
+    history = tracker.timeline_view().history("x")
+    tracker.terminate()
+    view = TimelineView.open(tracedir)
+    assert (view.first_index, len(view)) == (0, live_len)
+    assert [view.at(i) for i in range(live_len)] == live
+    assert view.history("x") == history
 
 
 def test_an_unterminated_store_opens_with_its_spilled_segments(
