@@ -520,22 +520,10 @@ class HeapDecoder:
     """Decodes the positions of one tree against its heap table: one key
     yields one :class:`Value`. Entries are built as shells and filled
     after, as capture builds them, so a cycle decodes as a cycle.
-
-    ``table`` (key -> (entry, Value)) may be shared by the trees of one
-    paused state, each encoded on its own: a key decodes to the table's
-    Value only if its entry here is the table's (one key may name a
-    summary in one tree and the full capture in the other). A tree with a
-    "#" key neither reads nor extends it: that tree holds two Values under
-    one address and type, so what a plain key leads to may differ there.
     """
 
-    def __init__(
-        self,
-        heap: Dict[str, Any],
-        table: Optional[Dict[str, Tuple[Any, Value]]] = None,
-    ) -> None:
+    def __init__(self, heap: Dict[str, Any]) -> None:
         self._heap = heap
-        self._table = None if table is None or "#" in "".join(heap) else table
         self._values: Dict[str, Value] = {}  # this tree's key -> Value
         self._unfilled: List[Tuple[Value, Any]] = []
 
@@ -570,16 +558,7 @@ class HeapDecoder:
             return self._build(position)
         value = self._values.get(position)
         if value is None:
-            entry = self._heap[position]
-            table = self._table
-            shared = None if table is None else table.get(position)
-            if shared is not None and shared[0] == entry:
-                value = shared[1]
-            else:
-                value = self._build(entry)
-                if table is not None:
-                    table[position] = (entry, value)
-            self._values[position] = value
+            value = self._values[position] = self._build(self._heap[position])
         return value
 
     def _build(self, data: Dict[str, Any]) -> Value:
@@ -619,9 +598,9 @@ def value_to_dict(value: Value) -> Dict[str, Any]:
     return {"value": encoder.value(value), "heap": encoder.heap}
 
 
-def value_from_dict(data: Dict[str, Any], table: Any = None) -> Value:
-    """Decode :func:`value_to_dict` output (``table``: see HeapDecoder)."""
-    return HeapDecoder(data["heap"], table).value(data["value"])
+def value_from_dict(data: Dict[str, Any]) -> Value:
+    """Decode :func:`value_to_dict` output."""
+    return HeapDecoder(data["heap"]).value(data["value"])
 
 
 def variables_to_dict(variables: Dict[str, Variable]) -> Dict[str, Any]:
@@ -630,9 +609,9 @@ def variables_to_dict(variables: Dict[str, Variable]) -> Dict[str, Any]:
     return {"variables": encoder.variables(variables), "heap": encoder.heap}
 
 
-def variables_from_dict(data: Dict[str, Any], table: Any = None) -> Dict[str, Variable]:
+def variables_from_dict(data: Dict[str, Any]) -> Dict[str, Variable]:
     """Decode :func:`variables_to_dict` output."""
-    return HeapDecoder(data["heap"], table).variables(data["variables"])
+    return HeapDecoder(data["heap"]).variables(data["variables"])
 
 
 def frame_to_dict(frame: Frame) -> Dict[str, Any]:
@@ -641,6 +620,6 @@ def frame_to_dict(frame: Frame) -> Dict[str, Any]:
     return {"frame": encoder.frame(frame), "heap": encoder.heap}
 
 
-def frame_from_dict(data: Dict[str, Any], table: Any = None) -> Frame:
+def frame_from_dict(data: Dict[str, Any]) -> Frame:
     """Decode :func:`frame_to_dict` output."""
-    return HeapDecoder(data["heap"], table).frame(data["frame"])
+    return HeapDecoder(data["heap"]).frame(data["frame"])

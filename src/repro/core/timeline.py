@@ -264,7 +264,7 @@ class StateSnapshot:
             stdout=stdout,
             exit_code=exit_code,
             reason=reason,
-            event=_event_for_reason(reason),
+            event=event_for_reason(reason),
             func_name=frame.name,
             thread=thread,
         )
@@ -352,7 +352,8 @@ class StateSnapshot:
         return f"StateSnapshot({where}, depth={self.depth}, event={self.event!r})"
 
 
-def _event_for_reason(reason: Optional[PauseReason]) -> str:
+def event_for_reason(reason: Optional[PauseReason]) -> str:
+    """The coarse :attr:`StateSnapshot.event` of a pause with ``reason``."""
     if reason is None:
         return EVENT_LINE
     if reason.type is PauseReasonType.CALL:

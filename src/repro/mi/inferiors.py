@@ -35,6 +35,10 @@ class InferiorAdapter:
     def events(self) -> Iterator[Event]:
         raise NotImplementedError
 
+    def new_capture(self) -> None:
+        """Start one capture: the frames and globals rendered until the
+        next call share their values."""
+
     def frame_chain(self) -> Frame:
         raise NotImplementedError
 
@@ -75,15 +79,19 @@ class MinicInferior(InferiorAdapter):
         self.filename = os.path.abspath(path)
         program = parse(text, self.filename)
         self.interpreter = Interpreter(program, args=args)
+        self.new_capture()
 
     def events(self) -> Iterator[Event]:
         return self.interpreter.run()
 
+    def new_capture(self) -> None:
+        self._renderer = CStateRenderer(self.interpreter)
+
     def frame_chain(self) -> Frame:
-        return CStateRenderer(self.interpreter).frame_chain()
+        return self._renderer.frame_chain()
 
     def globals_map(self) -> Dict[str, Variable]:
-        return CStateRenderer(self.interpreter).globals()
+        return self._renderer.globals()
 
     def read_memory(self, address: int, count: int) -> bytes:
         return self.interpreter.memory.read(address, count)

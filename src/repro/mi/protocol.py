@@ -31,8 +31,7 @@ The client half of the wire lives here once, for the blocking
 (:class:`~repro.mi.client.MIClient`) and the asyncio clients alike:
 :class:`ReplyReader`, the one rule for when a command's reply has ended
 (with the two-phase deadline wait), and the command table that maps each
-control point to its MI command (:func:`point_command`) and each
-inspection to its command and reply decoder (:data:`INSPECTIONS`).
+control point to its MI command (:func:`point_command`).
 """
 
 from __future__ import annotations
@@ -45,13 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ControlTimeout, ProtocolError, TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import (
-    Value,
-    frame_from_dict,
-    value_from_dict,
-    value_to_dict,
-    variables_from_dict,
-)
+from repro.core.state import Value, value_from_dict, value_to_dict
 from repro.core.supervision import Deadline
 from repro.core.tracker import (
     FunctionBreakpoint,
@@ -485,16 +478,3 @@ def limit_options(limits: Any) -> Dict[str, int]:
     fields = (("as", limits.address_space), ("cpu", limits.cpu_seconds),
               ("fsize", limits.file_size))
     return {key: value for key, value in fields if value is not None}
-
-
-#: The command table, inspection: tracker method -> the MI command that
-#: answers it and the decoder of its ``^done`` payload, which takes the
-#: payload and the heap-key table the replies of one pause share.
-INSPECTIONS: Dict[str, Tuple[str, Callable[[Any, Any], Any]]] = {
-    "get_position": (
-        "-inferior-position",
-        lambda payload, table=None: (payload["file"], payload["line"]),
-    ),
-    "get_current_frame": ("-stack-list-frames", frame_from_dict),
-    "get_global_variables": ("-data-list-globals", variables_from_dict),
-}

@@ -5,7 +5,7 @@ tracker (mini-C / RISC-V inferiors) and the subprocess-isolated Python
 tracker. Their client logic is identical — supervised command execution
 with deadlines and crash recovery, incremental control-point sync,
 ``*stopped`` payload decoding (:func:`repro.mi.protocol.decode_stop`, the
-inverse of the one stop encoder both servers use), serialized-state
+inverse of the one stop encoder both servers use), paused-state
 inspection, and the server-side ``-timeline-*`` recording family — so it
 lives here once, in :class:`MIRemoteTracker`. Subclasses override small
 hooks where the substrates genuinely differ (how a tracked function is
@@ -14,6 +14,7 @@ installed, how a breakpoint number maps back to a pause reason).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.engine import TrackerStats
@@ -24,7 +25,6 @@ from repro.core.errors import (
     TrackerError,
 )
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import Frame, Value, Variable
 from repro.core.supervision import (
     BACKEND_RESTARTED,
     BACKEND_UNAVAILABLE,
@@ -34,7 +34,7 @@ from repro.core.supervision import (
     SupervisionEvent,
     run_with_recovery,
 )
-from repro.core.timeline import Timeline
+from repro.core.timeline import StateSnapshot, Timeline, event_for_reason
 from repro.core.tracker import TrackedFunction, Tracker
 from repro.mi import protocol
 from repro.mi.client import MIClient
@@ -75,9 +75,6 @@ class MIRemoteTracker(Tracker):
         self._remote_enabled = False
         self._timeline_cache: Optional[Timeline] = None
         self._timeline_dirty = False
-        #: heap key -> (entry, Value) for the inspection replies of this
-        #: pause, so the frames and the globals replies share heap values
-        self._heap_table: Dict[str, Tuple[Any, Value]] = {}
 
     # ------------------------------------------------------------------
     # Substrate hooks
@@ -303,7 +300,6 @@ class MIRemoteTracker(Tracker):
 
     def _ingest(self, payload: Dict[str, Any]) -> None:
         self._timeline_dirty = True
-        self._heap_table = {}
         line = payload.get("line")
         if line is not None:
             self.last_lineno = self.next_lineno
@@ -324,18 +320,20 @@ class MIRemoteTracker(Tracker):
     # Inspection
     # ------------------------------------------------------------------
 
-    def _inspect(self, method: str) -> Any:
-        command, decode = protocol.INSPECTIONS[method]
-        return decode(self._execute(command), self._heap_table)
-
-    def _get_current_frame(self) -> Frame:
-        return self._inspect("get_current_frame")
-
-    def _get_global_variables(self) -> Dict[str, Variable]:
-        return self._inspect("get_global_variables")
+    def _capture(self) -> StateSnapshot:
+        """The server's paused state, one tree (``-state-snapshot``), with
+        the client's own output and pause reason; an exit snapshot is
+        built here, with no round trip."""
+        if self._exit_code is not None:
+            return super()._capture()
+        served = StateSnapshot.from_dict(self._execute("-state-snapshot"))
+        reason = self._pause_reason
+        return replace(served, stdout=self._get_output(), reason=reason,
+                       event=event_for_reason(reason))
 
     def _get_position(self) -> Tuple[str, Optional[int]]:
-        return self._inspect("get_position")
+        payload = self._execute("-inferior-position")
+        return payload["file"], payload["line"]
 
     def get_threads(self):
         """The server-side inferior's threads (``-thread-info``)."""

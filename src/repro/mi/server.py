@@ -31,6 +31,7 @@ from repro.core.engine import AddressBreakpoint
 from repro.core.errors import ProgramLoadError
 from repro.core.pause import PauseReason, PauseReasonType
 from repro.core.state import Frame, Variable
+from repro.core.timeline import StateSnapshot
 from repro.core.tracker import LineBreakpoint, Tracker
 from repro.minic.events import (
     AllocEvent,
@@ -118,6 +119,10 @@ class InferiorTracker(Tracker):
         return self.stop_event
 
     # -- inspection -------------------------------------------------------
+
+    def _capture(self) -> StateSnapshot:
+        self.inferior.new_capture()
+        return super()._capture()
 
     def _get_current_frame(self) -> Frame:
         return self.inferior.frame_chain()

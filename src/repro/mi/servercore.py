@@ -16,8 +16,8 @@ tracker* rather than about a particular inferior substrate lives here:
   legacy clients), interrupt delivery, the control-point number
   registry shared by enable/disable/delete, and every command that only
   calls the hosted tracker's public API: run control, line/function
-  breakpoints, watches, tracked functions, frame/global/position
-  inspection and the ``-timeline-*`` recording family. Each ``*stopped``
+  breakpoints, watches, tracked functions, paused-state inspection
+  and the ``-timeline-*`` recording family. Each ``*stopped``
   record is built by :func:`repro.mi.protocol.encode_stop` from the
   tracker's :attr:`pause_reason`;
 - :func:`serve_stdio` — the line loop that drives a server over
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import signal
 import sys
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import ProgramLoadError, ProtocolError, TrackerError
@@ -308,6 +309,14 @@ class ServerCore:
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
+
+    def _cmd_state_snapshot(self, command) -> List[str]:
+        """The paused state as one :meth:`StateSnapshot.to_dict` tree, so
+        one heap key names one object across frames, globals and reason.
+        ``stdout`` is blanked: the client has it from the ``~`` records."""
+        self.tracker._require_paused()
+        snapshot = replace(self.tracker.snapshot(), stdout="")
+        return [protocol.format_done(snapshot.to_dict())]
 
     def _cmd_stack_list_frames(self, command) -> List[str]:
         return [

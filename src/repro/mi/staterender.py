@@ -108,13 +108,21 @@ class CStateRenderer:
     def render_value(
         self, ctype: CType, address: int, location: Location, depth: int = 0
     ) -> Value:
-        """Model the object of type ``ctype`` stored at ``address``."""
+        """Model the object of type ``ctype`` stored at ``address``: one
+        Value per ``(address, type)`` (shells are memoized before their
+        contents are rendered, so a cycle ends)."""
         key = (address, ctype.name)
-        if key in self._memo:
-            return self._memo[key]
-        if isinstance(ctype, IntType):
-            return self._scalar(ctype, address, location)
-        if isinstance(ctype, FloatType):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._render(
+                ctype, address, location, depth
+            )
+        return value
+
+    def _render(
+        self, ctype: CType, address: int, location: Location, depth: int
+    ) -> Value:
+        if isinstance(ctype, (IntType, FloatType)):
             return self._scalar(ctype, address, location)
         if isinstance(ctype, PointerType):
             return self._pointer(ctype, address, location, depth)
@@ -122,13 +130,7 @@ class CStateRenderer:
             return self._array(ctype, address, location, depth)
         if isinstance(ctype, StructType):
             return self._struct(ctype, address, location, depth)
-        return Value(
-            abstract_type=AbstractType.INVALID,
-            content=None,
-            location=location,
-            address=address,
-            language_type=ctype.name,
-        )
+        return self._invalid(ctype, address, location)
 
     def _scalar(self, ctype: CType, address: int, location: Location) -> Value:
         try:
@@ -140,15 +142,13 @@ class CStateRenderer:
             content = chr(raw) if 32 <= raw < 127 else raw
         else:
             content = raw
-        value = Value(
+        return Value(
             abstract_type=AbstractType.PRIMITIVE,
             content=content,
             location=location,
             address=address,
             language_type=ctype.name,
         )
-        self._memo[(address, ctype.name)] = value
-        return value
 
     def _pointer(
         self, ctype: PointerType, address: int, location: Location, depth: int
@@ -231,14 +231,13 @@ class CStateRenderer:
             )
             for index in range(length)
         )
-        value = Value(
+        value = self._memo[key] = Value(
             abstract_type=AbstractType.LIST,
             content=elements,
             location=Location.HEAP,
             address=address,
-            language_type=f"{element.name}[{length}]",
+            language_type=key[1],
         )
-        self._memo[(address, f"{element.name}[{length}]")] = value
         return value
 
     def _array(
@@ -262,15 +261,13 @@ class CStateRenderer:
             )
             for index in range(ctype.length)
         )
-        value = Value(
+        return Value(
             abstract_type=AbstractType.LIST,
             content=elements,
             location=location,
             address=address,
             language_type=ctype.name,
         )
-        self._memo[(address, ctype.name)] = value
-        return value
 
     def _struct(
         self, ctype: StructType, address: int, location: Location, depth: int

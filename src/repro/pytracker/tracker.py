@@ -79,7 +79,6 @@ from repro.core.threads import (
     TaskInfo,
     ThreadInfo,
 )
-from repro.core.timeline import StateSnapshot
 from repro.core.tracker import Tracker
 from repro.pytracker.introspect import (
     CaptureLimits,
@@ -287,7 +286,8 @@ class PythonTracker(Tracker):
         self._killed = False
         self._paused_py_frame = None
         self._paused_event: Optional[str] = None
-        #: The snapshotter of the capture in progress (see ``_capture``).
+        #: The snapshotter of the current pause, made when it is decided:
+        #: the RETURN value, frames and globals share its Values.
         self._capture_values: Optional[Snapshotter] = None
         self._inferior_exception: Optional[BaseException] = None
         self._saved_stdout = None
@@ -397,6 +397,7 @@ class PythonTracker(Tracker):
                     stacklevel=4,
                 )
         finally:
+            self._capture_values = None
             self._remove_excepthook()
 
     # ------------------------------------------------------------------
@@ -708,6 +709,7 @@ class PythonTracker(Tracker):
         self.last_lineno = self.next_lineno
         self.next_lineno = sample.line
         self._pause_reason = reason
+        self._capture_values = self._snapshotter()
         if frame is not None:
             self._paused_py_frame = frame
         self._paused_event = "stall"
@@ -773,6 +775,7 @@ class PythonTracker(Tracker):
                 self.engine.note_event("exit")
                 self.engine.record_pause(PauseReasonType.EXIT)
                 self._paused_py_frame = None
+                self._capture_values = None
                 self._condition.notify_all()
 
     def _arm_instrumentation(self) -> None:
@@ -1040,9 +1043,10 @@ class PythonTracker(Tracker):
         if pause is None:
             return
         reason = pause[0]
+        values = self._snapshotter()
         if reason.type is PauseReasonType.RETURN:
-            reason.return_value = self._snapshotter().snapshot(arg)
-        self._pause(frame, event, reason)
+            reason.return_value = values.snapshot(arg)
+        self._pause(frame, event, reason, values)
 
     # ------------------------------------------------------------------
     # Watched values and the paused frame, for the engine's probe
@@ -1081,7 +1085,9 @@ class PythonTracker(Tracker):
     # Pause handshake (runs in the inferior thread)
     # ------------------------------------------------------------------
 
-    def _pause(self, frame, event: str, reason: PauseReason) -> None:
+    def _pause(
+        self, frame, event: str, reason: PauseReason, values: Snapshotter
+    ) -> None:
         ident = threading.get_ident()
         index = self._thread_ids.get(ident, 0)
         record = self._thread_records.get(index)
@@ -1115,6 +1121,7 @@ class PythonTracker(Tracker):
             # real stdout; tool-side prints never land in the capture.
             self._swap_stdout_out()
             self._pause_reason = reason
+            self._capture_values = values
             self._paused_py_frame = frame
             self._paused_event = event
             self._paused_thread_index = index
@@ -1148,15 +1155,6 @@ class PythonTracker(Tracker):
         return Snapshotter(
             max_depth=self._snapshot_depth, limits=self._capture_limits
         )
-
-    def _capture(self) -> StateSnapshot:
-        # One snapshotter per capture: the module frame's locals *are* the
-        # globals dict, so a global read from either side is one Value.
-        self._capture_values = self._snapshotter()
-        try:
-            return super()._capture()
-        finally:
-            self._capture_values = None
 
     def _get_current_frame(self) -> Frame:
         chain = build_frame_chain(

@@ -46,6 +46,7 @@ from repro.core.errors import (
 )
 from repro.core.state import Frame, Variable
 from repro.core.supervision import BackoffPolicy, Deadline
+from repro.core.timeline import StateSnapshot
 from repro.core.tracker import (
     FunctionBreakpoint,
     LineBreakpoint,
@@ -525,6 +526,10 @@ class AsyncTracker:
         self._degraded: bool = False
         self._resurrections: int = 0
         self._closed = False
+        #: commands sent on this session, and the paused state fetched by
+        #: :meth:`snapshot`, held until the next command or resurrection
+        self._sent = 0
+        self._state: Optional[StateSnapshot] = None
 
     # -- crash-only introspection ---------------------------------------
 
@@ -563,6 +568,7 @@ class AsyncTracker:
                 payload = record.payload or {}
                 self._resurrections += 1
                 self._note_attach(payload)
+                self._state = None
             self.notifications.append(record)
 
     async def execute(
@@ -599,6 +605,8 @@ class AsyncTracker:
     ) -> Any:
         """Send one command and drive :class:`protocol.ReplyReader` over
         this session's queue until its reply has ended."""
+        self._sent += 1
+        self._state = None
         await self.client._send_line(
             protocol.format_command(name, args, options, session=self.session_id)
         )
@@ -674,20 +682,30 @@ class AsyncTracker:
     async def delete_breakpoint(self, number: int) -> None:
         await self.execute("-break-delete", [str(number)])
 
-    # -- inspection (commands and decoders from the one table) -----------
+    # -- inspection: one -state-snapshot per pause ------------------------
+
+    async def snapshot(self) -> StateSnapshot:
+        """The paused state, one ``-state-snapshot`` tree, held until the
+        next command on this session or a resurrection."""
+        state = self._state
+        if state is None:
+            sent = self._sent + 1
+            state = StateSnapshot.from_dict(
+                await self.execute("-state-snapshot")
+            )
+            state.stdout = self.get_output()
+            if self._sent == sent:  # no other command went out meanwhile
+                self._state = state
+        return state
 
     async def get_position(self) -> Tuple[str, Optional[int]]:
-        return await self._inspect("get_position")
+        return (await self.snapshot()).position()
 
     async def get_current_frame(self) -> Frame:
-        return await self._inspect("get_current_frame")
+        return (await self.snapshot()).frame
 
     async def get_global_variables(self) -> Dict[str, Variable]:
-        return await self._inspect("get_global_variables")
-
-    async def _inspect(self, method: str) -> Any:
-        command, decode = protocol.INSPECTIONS[method]
-        return decode(await self.execute(command))
+        return dict((await self.snapshot()).globals)
 
     def get_output(self) -> str:
         """Everything the inferior printed so far (already received)."""

@@ -48,6 +48,7 @@ COMMANDS = [
     "-break-delete",
     "-break-disable",
     "-break-enable",
+    "-state-snapshot",
     "-stack-list-frames",
     "-data-list-globals",
     "-data-list-register-values",
@@ -105,8 +106,8 @@ def test_inspection_commands_after_crash_are_errors(tmp_path):
     server = DebugServer(str(path))
     server.handle("-exec-run")
     server.handle("-exec-continue")
-    for command in ("-stack-list-frames", "-data-list-globals",
-                    "-exec-step", "-exec-continue"):
+    for command in ("-state-snapshot", "-stack-list-frames",
+                    "-data-list-globals", "-exec-step", "-exec-continue"):
         record = parse_record(server.handle(command)[0])
         assert record.kind == "error"
 

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.core.timeline import StateSnapshot
 from repro.mi.protocol import parse_record
 from repro.mi.server import DebugServer
 from repro.mi.transport import PipeTransport
@@ -296,8 +297,22 @@ class TestInspection:
         key = payload["variables"]["total"]["value"]
         assert payload["heap"][key]["content"] == 0
 
+    def test_state_snapshot_is_one_tree(self, server):
+        server.handle("-break-insert square")
+        server.handle("-exec-run")
+        server.handle("-exec-continue")
+        server.handle("-exec-step")
+        payload = records(server.handle("-state-snapshot"))[0].payload
+        state = StateSnapshot.from_dict(payload)
+        assert state.frame.name == "square"
+        assert state.frame.variables["v"].value.content == 1
+        assert state.globals["total"].value.content == 0
+        assert state.stdout == ""  # the client has it from ~ records
+        assert not [key for key in payload["heap"] if "#" in key]
+
     def test_inspection_before_run_is_error(self, server):
         assert records(server.handle("-stack-list-frames"))[0].kind == "error"
+        assert records(server.handle("-state-snapshot"))[0].kind == "error"
 
     def test_read_memory(self, server):
         server.handle("-exec-run")

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import BackendUnavailableError
 from repro.core.factory import init_tracker
+from repro.core.pause import PauseReasonType
 from repro.core.replay import ReplayTracker
 from repro.core.state import AbstractType, value_to_dict
 from repro.pytracker.introspect import build_frame_chain, build_globals
@@ -133,16 +134,25 @@ def test_one_capture_per_pause(backend, write_program, tmp_path):
         tracker.terminate()
 
 
-@pytest.mark.parametrize("backend", ["python", "python-mon"])
+@pytest.mark.parametrize(
+    "backend", ["python", "python-mon", "python-subproc", "GDB"]
+)
 def test_position_and_output_never_force_a_capture(backend, write_program):
-    tracker = _live(backend, write_program("prog.py", PROGRAM))
+    if backend == "GDB":
+        path = write_program("prog.c", MINIC_PROGRAM)
+    else:
+        path = write_program("prog.py", PROGRAM)
+    tracker = _live(backend, path)
     captures = _counting(tracker, "_capture")
+    client = getattr(tracker, "_client", None)
+    sent = [] if client is None else _counting(client, "execute")
     try:
         tracker.start()
         position = tracker.get_position()
         tracker.get_output()
         tracker.get_exit_code()
         assert captures == []
+        assert "-state-snapshot" not in [call[0] for call in sent]
         # The capture takes its position from the innermost frame.
         assert tracker.snapshot().position() == position
     finally:
@@ -244,9 +254,8 @@ value = peek(nest, leaf)
 def test_a_depth_summary_never_stands_in_for_a_global(
     backend, write_program, tmp_path
 ):
-    """The summary and the whole list share address and type. Over MI
-    the frames and the globals replies are encoded apart, so each may give
-    that key to a different one; the global still decodes whole."""
+    """The summary and the whole list share address and type; the global
+    still decodes whole, and is one Value with ``peek``'s ``items``."""
     path = write_program("deep.py", DEEP_PROGRAM)
     rewound = backend == "python-rewound"
     tracker = _make("python" if rewound else backend, path, tmp_path)
@@ -271,8 +280,7 @@ def test_a_depth_summary_never_stands_in_for_a_global(
         for whole in (global_, items):
             assert whole.abstract_type is AbstractType.LIST
             assert (whole.render(), whole.truncated) == ("[7]", False)
-        if backend != "python-subproc":  # one tree: one Value per object
-            assert items is global_
+        assert items is global_
     finally:
         tracker.terminate()
 
@@ -316,9 +324,129 @@ def test_remote_inspection_crosses_the_pipe_once_per_pause(
                 tracker.get_variable("data")
                 tracker.snapshot()
             commands = [call[0] for call in sent]
-            assert commands.count("-stack-list-frames") == pause
-            assert commands.count("-data-list-globals") == pause
+            assert commands.count("-state-snapshot") == pause
+            assert "-stack-list-frames" not in commands
+            assert "-data-list-globals" not in commands
             tracker.step()
+    finally:
+        tracker.terminate()
+
+
+def _local_keys(state):
+    """The "#<n>" keys of a snapshot's tree: a second Value of one
+    address and type."""
+    return [key for key in state.to_dict()["heap"] if "#" in key]
+
+
+MINIC_ALIASING = """\
+int arr[3];
+
+int main(void) {
+    int *p = arr;
+    arr[0] = 5;
+    return p[0];
+}
+"""
+
+
+@pytest.mark.parametrize("rewound", [False, True], ids=["live", "rewound"])
+def test_a_c_pointer_and_the_array_it_points_into_share_one_value(
+    rewound, write_program
+):
+    """``p`` points at ``arr[0]``: one Value whether the frame or the
+    globals reach it, live over MI and decoded from the server's
+    recording."""
+    tracker = init_tracker("GDB")
+    tracker.load_program(write_program("share.c", MINIC_ALIASING))
+    tracker.break_before_line(5)
+    try:
+        if rewound:
+            tracker.enable_recording()
+        tracker.start()
+        tracker.resume()
+        if rewound:
+            tracker.step()
+            tracker.timeline_view().goto(1)
+        assert tracker.get_position()[1] == 5
+        state = tracker.snapshot()
+        assert _local_keys(state) == []
+        target = state.frame.variables["p"].value.content
+        assert target is state.globals["arr"].value.content[0]
+    finally:
+        tracker.terminate()
+
+
+MINIC_POINTERS = """\
+char *s;
+int *q = 0;
+
+int main(void) {
+    char **pp = &s;
+    int **qq = &q;
+    s = "hi";
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("rewound", [False, True], ids=["live", "rewound"])
+def test_c_strings_and_invalid_pointers_are_one_value_per_cell(
+    rewound, write_program
+):
+    """A ``char*`` and an invalid pointer reached twice (by name and
+    through a pointer to them) are one Value each."""
+    tracker = init_tracker("GDB")
+    tracker.load_program(write_program("pointers.c", MINIC_POINTERS))
+    tracker.break_before_line(8)
+    try:
+        if rewound:
+            tracker.enable_recording()
+        tracker.start()
+        tracker.resume()
+        if rewound:
+            tracker.step()
+            tracker.timeline_view().goto(1)
+        assert tracker.get_position()[1] == 8
+        state = tracker.snapshot()
+        assert _local_keys(state) == []
+        locals_ = state.frame.variables
+        s = state.globals["s"].value
+        assert (s.content, s.language_type) == ("hi", "char*")
+        assert locals_["pp"].value.content is s
+        q = state.globals["q"].value
+        assert q.abstract_type is AbstractType.INVALID
+        assert locals_["qq"].value.content is q
+    finally:
+        tracker.terminate()
+
+
+RETURN_PROGRAM = """\
+def make():
+    out = [1, 2]
+    return out
+
+
+made = make()
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", "python-mon"])
+def test_a_return_value_is_the_value_its_frame_holds(backend, write_program):
+    """The RETURN value is read through the pause's one snapshotter, so it
+    is the Value that ``out`` references, not a second copy."""
+    tracker = _live(backend, write_program("ret.py", RETURN_PROGRAM))
+    tracker.track_function("make")
+    try:
+        tracker.start()
+        tracker.resume()  # CALL
+        tracker.resume()  # RETURN
+        reason = tracker.pause_reason
+        assert reason.type is PauseReasonType.RETURN
+        state = tracker.snapshot()
+        assert _local_keys(state) == []
+        out = state.frame.variables["out"].value.content
+        assert reason.return_value is out
+        assert state.reason.return_value is out
     finally:
         tracker.terminate()
 

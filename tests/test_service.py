@@ -33,6 +33,7 @@ from repro.service import (
     WarmPool,
 )
 from repro.testing.faults import TCP_HOP, ChaosPlan, ChaosProxy
+from tests.test_paused_state import ALIASING_PROGRAM
 
 COUNTING_PY = """\
 total = 0
@@ -402,6 +403,53 @@ class TestServiceEndToEnd:
                     assert "done 10" in b.get_output()
                     await a.close()
                     await b.close()
+            finally:
+                await service.close()
+
+        run(scenario())
+
+    def test_inspection_fetches_the_paused_state_once_per_pause(
+        self, write_program
+    ):
+        path = write_program("alias.py", ALIASING_PROGRAM)
+
+        async def scenario():
+            service = await make_service()
+            try:
+                host, port = service.address
+                async with await ServiceClient.connect(host, port) as client:
+                    sent = []
+                    send = client._send_line
+
+                    async def counting(line):
+                        sent.append(line)
+                        await send(line)
+
+                    client._send_line = counting
+
+                    def fetches():
+                        return sum("-state-snapshot" in line for line in sent)
+
+                    tracker = await client.open_tracker(path)
+                    await tracker.break_before_line(5)
+                    await tracker.break_before_line(6)
+                    await tracker.start()
+                    await tracker.resume()
+                    for _ in range(3):
+                        frame = await tracker.get_current_frame()
+                        globals_ = await tracker.get_global_variables()
+                        position = await tracker.get_position()
+                        await tracker.snapshot()
+                    assert fetches() == 1
+                    assert position[1] == 5
+                    items = frame.variables["items"].value.content
+                    assert items is globals_["data"].value.content
+                    await tracker.resume()
+                    assert (await tracker.get_position())[1] == 6
+                    frame = await tracker.get_current_frame()
+                    assert fetches() == 2
+                    assert frame.variables["first"].value.content.content == 1
+                    await tracker.close()
             finally:
                 await service.close()
 

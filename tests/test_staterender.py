@@ -255,6 +255,34 @@ class TestAggregates:
         assert frame.variables["a"].scope == "argument"
 
 
+class TestOneRendererPerCapture:
+    SOURCE = """\
+int arr[3];
+char *s;
+int *q = 0;
+
+int main(void) {
+    int *p = arr;
+    char **pp = &s;
+    int **qq = &q;
+    s = "hi";
+    return 0;
+}
+"""
+
+    def test_a_cell_reached_twice_is_one_value(self):
+        interpreter, _ = paused_at(self.SOURCE, 10)
+        renderer = CStateRenderer(interpreter)
+        locals_ = renderer.frame_chain().variables
+        globals_map = renderer.globals()
+        assert locals_["p"].value.content is (
+            globals_map["arr"].value.content[0]
+        )
+        assert locals_["pp"].value.content is globals_map["s"].value
+        assert locals_["qq"].value.content is globals_map["q"].value
+        assert globals_map["q"].value.abstract_type is AbstractType.INVALID
+
+
 class TestComplexShapes:
     def test_double_pointer(self):
         source = (
